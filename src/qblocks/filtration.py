@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import sub
 from typing import Callable, Iterable, Mapping, Optional, Union
 
 from qblocks.charring import (
@@ -152,12 +153,12 @@ def linkage_check(lam: Weight, w: Perm, limit: Optional[int] = None) -> LinkageR
     plain = frozenset(
         Weight(v)
         for v in _orbit_ints(lam)
-        if tuple(a - b for a, b in zip(v, wd_i)) in psupp
+        if tuple(map(sub, v, wd_i)) in psupp
     )
     dot = frozenset(
         Weight(v)
         for v in _dot_orbit_ints(lam)
-        if tuple(a - b for a, b in zip(wl_i, v)) in psupp
+        if tuple(map(sub, wl_i, v)) in psupp
     )
     offset = wl - wd
     mult = pchar.coefficient(offset)

@@ -2,18 +2,28 @@
 
 Weights live in the epsilon basis of the rank-n Cartan subalgebra and carry
 exact rational coordinates, so the half-integral Weyl vector and its shifts
-never lose precision.
+never lose precision.  An integral coordinate is stored as a Python ``int``
+and any other coordinate as a ``Fraction``, so integral weights do all their
+arithmetic, hashing and sorting on ``int``; both kinds compare, hash and
+print alike on equal values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, neg, sub
 from typing import Iterable, Iterator, NamedTuple, Union
 
-Scalar = Fraction
+Scalar = Union[int, Fraction]
 
 CoordLike = Union[int, str, Fraction]
+
+
+def _scalar(c: CoordLike) -> Scalar:
+    """The exact value of c: an ``int`` when it is an integer, else a ``Fraction``."""
+    q = Fraction(c)
+    return q.numerator if q.denominator == 1 else q
 
 
 class Weight:
@@ -22,9 +32,14 @@ class Weight:
     __slots__ = ("coords",)
 
     def __init__(self, coords: Iterable[CoordLike]):
-        self.coords = tuple(Fraction(c) for c in coords)
-        if not self.coords:
+        coords = tuple(coords)
+        for c in coords:
+            if type(c) is not int:
+                coords = tuple(c if type(c) is int else _scalar(c) for c in coords)
+                break
+        if not coords:
             raise ValueError("a weight needs rank at least 1")
+        self.coords = coords
 
     @classmethod
     def parse(cls, text: str) -> "Weight":
@@ -51,18 +66,18 @@ class Weight:
     def as_integers(self) -> tuple[int, ...]:
         if not self.is_integral():
             raise ValueError(f"weight {self} is not integral")
-        return tuple(int(c) for c in self.coords)
+        return self.coords
 
     def __add__(self, other: "Weight") -> "Weight":
         _same_rank(self, other)
-        return Weight(a + b for a, b in zip(self.coords, other.coords))
+        return Weight(map(add, self.coords, other.coords))
 
     def __sub__(self, other: "Weight") -> "Weight":
         _same_rank(self, other)
-        return Weight(a - b for a, b in zip(self.coords, other.coords))
+        return Weight(map(sub, self.coords, other.coords))
 
     def __neg__(self) -> "Weight":
-        return Weight(-c for c in self.coords)
+        return Weight(map(neg, self.coords))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Weight) and self.coords == other.coords
@@ -78,7 +93,7 @@ class Weight:
     def __hash__(self) -> int:
         return hash(self.coords)
 
-    def __iter__(self) -> Iterator[Fraction]:
+    def __iter__(self) -> Iterator[Scalar]:
         return iter(self.coords)
 
     def __str__(self) -> str:
@@ -170,7 +185,7 @@ def leq(lam: Weight, mu: Weight) -> bool:
     simple-root coefficients).
     """
     n = _same_rank(lam, mu)
-    acc = Fraction(0)
+    acc = 0
     for k in range(n):
         d = mu.coords[k] - lam.coords[k]
         if d.denominator != 1:
@@ -189,7 +204,7 @@ def simple_root_coefficients(nu: Weight) -> tuple[int, ...]:
     """
     if not nu.is_integral():
         raise ValueError(f"{nu} is not in the root lattice (non-integral)")
-    coords = nu.as_integers()
+    coords = nu.coords
     prefixes = []
     acc = 0
     for c in coords[:-1]:

@@ -5,9 +5,10 @@ from __future__ import annotations
 
 import itertools
 import os
+from operator import add, sub
 from typing import Iterable, Iterator, Optional
 
-from qblocks.lattice import Root, Weight, _same_rank, rho
+from qblocks.lattice import Root, Weight, _same_rank
 
 DEFAULT_MAX_RANK = 8
 ENV_MAX_RANK = "QBLOCKS_MAX_RANK"
@@ -33,6 +34,16 @@ def check_rank(n: int, limit: Optional[int] = None) -> None:
             f"rank {n} exceeds the resource guard ({cap}); "
             f"set {ENV_MAX_RANK} to raise it"
         )
+
+
+def _rho_shift(n: int) -> tuple[int, ...]:
+    """The integer shift rho' = (n-1, ..., 1, 0).
+
+    rho' - rho is a constant vector, which every permutation fixes, so
+    w(lam + rho') - rho' = w(lam + rho) - rho and rho' - w(rho') = rho - w(rho):
+    the dot action and the rho-defect never need the half-integral rho.
+    """
+    return tuple(range(n - 1, -1, -1))
 
 
 class Perm:
@@ -89,9 +100,18 @@ class Perm:
         return Weight(out)
 
     def dot(self, lam: Weight) -> Weight:
-        """Shifted action: w . lam = w(lam + rho) - rho."""
-        r = rho(lam.rank)
-        return self.act(lam + r) - r
+        """Shifted action: w . lam = w(lam + rho) - rho.
+
+        Computed as w(lam + rho') - rho' with the integer shift rho' of
+        :func:`_rho_shift`, so coordinate w(i) is lam_i + rho'_i - rho'_{w(i)}.
+        """
+        if self.rank != lam.rank:
+            raise ValueError(f"rank mismatch: {self.rank} vs {lam.rank}")
+        rp = _rho_shift(self.rank)
+        out = [None] * self.rank
+        for i, img in enumerate(self.images):
+            out[img - 1] = lam.coords[i] + rp[i] - rp[img - 1]
+        return Weight(out)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Perm) and self.images == other.images
@@ -125,9 +145,11 @@ def orbit(lam: Weight, limit: Optional[int] = None) -> frozenset[Weight]:
 def dot_orbit(lam: Weight, limit: Optional[int] = None) -> frozenset[Weight]:
     """Distinct images of lam under the dot action."""
     check_rank(lam.rank, limit)
-    r = rho(lam.rank)
-    shifted = (lam + r).coords
-    return frozenset(Weight(p) - r for p in itertools.permutations(shifted))
+    rp = _rho_shift(lam.rank)
+    shifted = tuple(map(add, lam.coords, rp))
+    return frozenset(
+        Weight(map(sub, p, rp)) for p in itertools.permutations(shifted)
+    )
 
 
 def inversion_roots(w: Perm) -> frozenset[Root]:
@@ -146,16 +168,14 @@ def rho_defect(w: Perm) -> Weight:
 
     With w acting by e_i -> e_{w(i)}, the roots that contribute are the
     inversions of the inverse permutation: rho - w(rho) counts positive
-    roots sent out of the positive cone by w^{-1}.
+    roots sent out of the positive cone by w^{-1}.  Computed as
+    rho' - w(rho') with the integer shift of :func:`_rho_shift`.
     """
-    n = w.rank
-    coords = [0] * n
-    for i, j in inversion_roots(w.inverse()):
-        coords[i - 1] += 1
-        coords[j - 1] -= 1
-    out = Weight(coords)
-    assert out == rho(n) - w.act(rho(n))
-    return out
+    rp = _rho_shift(w.rank)
+    coords = [0] * w.rank
+    for i, img in enumerate(w.images):
+        coords[img - 1] = rp[img - 1] - rp[i]
+    return Weight(coords)
 
 
 def same_block(mu: Weight, nu: Weight, limit: Optional[int] = None) -> bool:

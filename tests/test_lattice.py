@@ -37,6 +37,41 @@ def test_coords_are_exact_rationals():
     assert w.coords == (Fraction(1, 2), Fraction(-1, 2))
 
 
+@pytest.mark.parametrize("value", [3, "3", "4/2", Fraction(6, 2)])
+def test_integral_coordinates_are_stored_as_int(value):
+    (c,) = Weight([value]).coords
+    assert type(c) is int
+    assert c == Fraction(value)
+
+
+def test_non_integral_coordinate_stays_fraction():
+    (c,) = Weight(["1/2"]).coords
+    assert type(c) is Fraction
+    assert c == Fraction(1, 2)
+
+
+def test_half_integral_sum_collapses_to_int():
+    total = Weight.parse("1/2") + Weight.parse("1/2")
+    (c,) = total.coords
+    assert type(c) is int and c == 1
+    assert total == Weight([1])
+    assert hash(total) == hash(Weight([1]))
+    assert {total: "x"}[Weight([1])] == "x"
+
+
+def test_mixed_int_and_fraction_str_and_order():
+    w = Weight([3, Fraction(-1, 2), 0])
+    assert [type(c) for c in w.coords] == [int, Fraction, int]
+    assert str(w) == "3,-1/2,0"
+    assert repr(w) == "Weight('3,-1/2,0')"
+    weights = [Weight.parse(t) for t in ("1,1/2", "1/2,3", "1,-1/2", "-1/2,7")]
+    want = sorted(weights, key=lambda x: tuple(Fraction(c) for c in x.coords))
+    assert sorted(weights) == want
+    assert [str(x) for x in want] == ["-1/2,7", "1/2,3", "1,-1/2", "1,1/2"]
+    assert Weight.parse("1/2,3") < Weight.parse("1,-1/2")
+    assert Weight.parse("1,-1/2") <= Weight([1, Fraction(-1, 2)])
+
+
 def test_arithmetic():
     a = Weight.parse("3,1")
     b = Weight.parse("1,-1")

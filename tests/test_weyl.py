@@ -1,5 +1,7 @@
 """Symmetric-group actions, orbits, inversions, and the rank guard."""
 
+from fractions import Fraction
+
 import pytest
 
 from qblocks.lattice import Weight, rho
@@ -69,6 +71,45 @@ def test_dot_identity():
 def test_action_rank_mismatch():
     with pytest.raises(ValueError):
         Perm.parse("2 1").act(Weight.parse("1,2,3"))
+    with pytest.raises(ValueError):
+        Perm.parse("2 1").dot(Weight.parse("1,2,3"))
+
+
+def _literal_dot(w, lam):
+    """w(lam + rho) - rho on Fraction tuples, with the half-integral rho."""
+    n = w.rank
+    r = [Fraction(n + 1 - 2 * i, 2) for i in range(1, n + 1)]
+    moved = [None] * n
+    for i in range(n):
+        moved[w(i + 1) - 1] = Fraction(lam.coords[i]) + r[i]
+    return tuple(m - ri for m, ri in zip(moved, r))
+
+
+DIFFERENTIAL_WEIGHTS = [
+    "0", "-3", "5/2",
+    "3,1", "2,2", "1/2,-3/2", "7/2,7/2",
+    "5,2,-1", "1,1,-4", "5/2,1/2,-7/2", "3/2,-1/2,-1/2",
+    "4,0,-3,2", "6,3,1,-2", "2,2,0,0", "1/2,-3/2,5/2,7/2", "9/2,1/2,1/2,-5/2",
+]
+
+
+@pytest.mark.parametrize("text", DIFFERENTIAL_WEIGHTS)
+def test_dot_matches_literal_rho_shift(text):
+    # The integer shift route must agree with w(lam + rho) - rho computed
+    # with Fractions, for every w, on integral and half-integral weights.
+    lam = Weight.parse(text)
+    n = lam.rank
+    r = rho(n)
+    literal_points = set()
+    for w in all_perms(n):
+        want = _literal_dot(w, lam)
+        literal_points.add(want)
+        got = w.dot(lam)
+        assert got.coords == want, (text, str(w))
+        assert got == w.act(lam + r) - r
+        if lam.is_integral():
+            assert all(type(c) is int for c in got.coords)
+    assert {x.coords for x in dot_orbit(lam)} == literal_points
 
 
 def test_orbit_small():
