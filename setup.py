@@ -1,21 +1,3 @@
-from setuptools import Extension, setup
+from setuptools import setup
 
-# The compiled kernels are an optional speedup; the package falls back to
-# the pure-Python implementations when the extension is unavailable.
-try:
-    from Cython.Build import cythonize
-except ImportError:
-    ext_modules = []
-else:
-    ext_modules = cythonize(
-        [
-            Extension(
-                "qblocks.kernels._ckernels",
-                ["src/qblocks/kernels/_ckernels.pyx"],
-                optional=True,
-            )
-        ],
-        language_level=3,
-    )
-
-setup(ext_modules=ext_modules)
+setup()

@@ -1,9 +1,10 @@
 """Sparse formal characters on the weight lattice.
 
 A FormalCharacter is a finitely supported Weight -> int map with convolution
-product.  The heavy builders (subset-sum multisets of positive roots,
-truncated Verma denominators and their products) run on packed integer keys
-through qblocks.kernels and only convert to Weight keys once, at the end.
+product.  The heavy builders (subset-sum multisets of positive roots and
+truncated Verma and super-Verma offsets) run on packed integer keys through
+the kernels in qblocks.kernels._pykernels and only convert to Weight keys
+once, at the end.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
-from qblocks import kernels
+from qblocks.kernels._pykernels import binomial_product, geometric_product
 from qblocks.lattice import (
     Weight,
     positive_roots,
@@ -226,11 +227,10 @@ class _Packing:
     """Fixed-width digit encoding of simple-root coefficient vectors.
 
     The top digit carries the height so kernels can truncate with one shift.
-    The digit width adapts to the bound; the kernel backend is chosen per
-    packing so oversized keys fall back to pure Python transparently.
+    The digit width adapts to the bound; keys are unbounded Python ints.
     """
 
-    __slots__ = ("n", "dim", "bound", "shift", "hshift", "mask", "kernel")
+    __slots__ = ("n", "dim", "bound", "shift", "hshift", "mask")
 
     def __init__(self, n: int, bound: int):
         if bound < 0:
@@ -241,7 +241,6 @@ class _Packing:
         self.shift = max(8, (bound + 2).bit_length())
         self.hshift = self.dim * self.shift
         self.mask = (1 << self.shift) - 1
-        self.kernel = kernels.select(self.hshift + self.shift)
 
     def pack(self, coeffs: Iterable[int]) -> int:
         key = 0
@@ -267,9 +266,7 @@ class _Packing:
 @lru_cache(maxsize=None)
 def _subset_sum_char(n: int) -> FormalCharacter:
     pk = _Packing(n, full_support_height(n))
-    raw = pk.kernel.binomial_product(
-        pk.packed_positive_roots(), pk.bound, pk.hshift
-    )
+    raw = binomial_product(pk.packed_positive_roots(), pk.bound, pk.hshift)
     return FormalCharacter(
         n,
         (
@@ -304,18 +301,19 @@ def ext_neg(n: int, limit: Optional[int] = None) -> FormalCharacter:
 @lru_cache(maxsize=None)
 def _verma_offset_terms(n: int, bound: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     pk = _Packing(n, bound)
-    raw = pk.kernel.geometric_product(pk.packed_positive_roots(), bound, pk.hshift)
+    raw = geometric_product({0: 1}, pk.packed_positive_roots(), bound, pk.hshift)
     return tuple(sorted((pk.unpack(k), c) for k, c in raw.items()))
 
 
 @lru_cache(maxsize=None)
 def _super_offset_terms(n: int, bound: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    # P * prod (1 - x^alpha)^-1: one geometric pass over P per positive root,
+    # the Kostant partition recurrence started from the subset sums.
     pk = _Packing(n, bound)
     roots = pk.packed_positive_roots()
-    p = pk.kernel.binomial_product(roots, bound, pk.hshift)
-    d = pk.kernel.geometric_product(roots, bound, pk.hshift)
-    conv = pk.kernel.convolve(p, d, bound, pk.hshift)
-    return tuple(sorted((pk.unpack(k), c) for k, c in conv.items()))
+    p = binomial_product(roots, bound, pk.hshift)
+    raw = geometric_product(p, roots, bound, pk.hshift)
+    return tuple(sorted((pk.unpack(k), c) for k, c in raw.items()))
 
 
 def _offsets_to_char(

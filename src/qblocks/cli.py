@@ -51,6 +51,9 @@ def _resolve_weights(args) -> tuple[int, list[Weight]]:
         return lam.rank, [lam]
     if args.n is None:
         raise ValueError("--n is required when --lambda is not given")
+    if args.samples < 1:
+        # An empty sweep would check nothing and still report success.
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
     lo = hi = None
     if args.sample_range:
         lo_text, sep, hi_text = args.sample_range.partition(":")

@@ -222,15 +222,6 @@ def ind_block_mult_split(lam: Weight, w: Perm, limit: Optional[int] = None) -> i
 TieBreak = Callable[[list[Weight]], Weight]
 
 
-def _block_terms(
-    n: int, bound: int, super_blocks: bool
-) -> tuple[tuple[tuple[int, ...], int], ...]:
-    if super_blocks:
-        k = k_dim(n)
-        return tuple((cs, k * c) for cs, c in _super_offset_terms(n, bound))
-    return _verma_offset_terms(n, bound)
-
-
 def verma_flag_extract(
     char: FormalCharacter,
     trunc: Truncation,
@@ -256,6 +247,7 @@ def verma_flag_extract(
     if trunc.base.rank != n:
         raise ValueError(f"rank mismatch: {trunc.base.rank} vs {n}")
     divisor = k_dim(n) if super_blocks else 1
+    block_terms = _super_offset_terms if super_blocks else _verma_offset_terms
     base = trunc.base
 
     # Work on simple-root coefficient vectors of base - weight: dominance
@@ -300,9 +292,11 @@ def verma_flag_extract(
             )
         found[chosen] = mult
         budget = trunc.bound - sum(chosen)
-        for offs, bc in _block_terms(n, budget, super_blocks):
+        # mult copies of the block, which is divisor times its offset table;
+        # mult * divisor == coeff after the divisibility check.
+        for offs, bc in block_terms(n, budget):
             key = tuple(a + b for a, b in zip(chosen, offs))
-            merged = cur.get(key, 0) - mult * bc
+            merged = cur.get(key, 0) - coeff * bc
             if merged:
                 cur[key] = merged
             else:

@@ -1,34 +1,5 @@
-"""Kernel selection: the compiled extension when importable, else pure Python.
+"""Packed-key product kernels, in pure Python (see _pykernels)."""
 
-Set QBLOCKS_KERNELS=py to force the fallback, or =c to require the extension.
-Individual workloads still fall back when their packed keys would not fit in
-a 64-bit integer.
-"""
-
-import os
-
-from qblocks.kernels import _pykernels
-
-MAX_PACKED_BITS = 62
-
-_forced = os.environ.get("QBLOCKS_KERNELS", "").strip().lower()
-_compiled = None
-if _forced != "py":
-    try:
-        from qblocks.kernels import _ckernels as _compiled
-    except ImportError:
-        if _forced == "c":
-            raise ImportError(
-                "QBLOCKS_KERNELS=c but the compiled kernels are not built; "
-                "run `python setup.py build_ext --inplace`"
-            )
-        _compiled = None
-
-BACKEND = "c" if _compiled is not None else "py"
-
-
-def select(total_bits: int):
-    """Backend module for keys of the given packed width in bits."""
-    if _compiled is not None and total_bits <= MAX_PACKED_BITS:
-        return _compiled
-    return _pykernels
+# The package has one kernel backend.  perfbench/run.py reads this name to
+# record which backend a benchmark ran on, so it stays.
+BACKEND = "py"

@@ -1,4 +1,4 @@
-"""Pure-Python convolution kernels on packed lattice keys.
+"""Pure-Python product kernels on packed lattice keys.
 
 A key encodes a vector of nonnegative simple-root coefficients in fixed-width
 digits, with the coefficient sum (the height) stored in the top digit.  Key
@@ -7,9 +7,13 @@ Callers guarantee:
 
   - every digit of every valid key is <= bound < 2**shift - 1,
   - heights are compared before keys are added, so no digit ever overflows,
-  - step vectors handed to geometric_product have digits <= 1, so a digit
-    borrow in ``k - v`` lands outside the valid digit range and cannot
-    collide with a real key.
+  - step vectors have digits <= 1.
+
+geometric_product looks up ``k - v`` for each key k.  When that subtraction
+borrows, the lowest borrowing digit is 0 - 1 with no borrow coming in, so it
+reads 2**shift - 1 > bound: ``k - v`` then lies outside the valid digit range
+and cannot collide with a real key.  This uses only the digit bound, so it
+holds for any starting accumulator whose keys are valid, not only {0: 1}.
 
 Coefficient values are ordinary Python ints and are never bounded.
 """
@@ -30,9 +34,9 @@ def binomial_product(vecs, bound, hshift):
     return acc
 
 
-def geometric_product(vecs, bound, hshift):
-    """Expand prod_v (1 + x^v + x^2v + ...) truncated to heights <= bound."""
-    acc = {0: 1}
+def geometric_product(acc, vecs, bound, hshift):
+    """Multiply acc by prod_v (1 + x^v + x^2v + ...), truncated to heights
+    <= bound; acc maps valid packed keys to coefficients."""
     for v in vecs:
         hv = v >> hshift
         # Close the support under addition of v, then fill coefficients in
@@ -55,18 +59,3 @@ def geometric_product(vecs, bound, hshift):
                 out[k] = c
         acc = out
     return acc
-
-
-def convolve(a, b, bound, hshift):
-    """Sparse product of two packed characters, truncated to heights <= bound."""
-    if len(b) < len(a):
-        a, b = b, a
-    out = {}
-    for ka, ca in a.items():
-        ha = ka >> hshift
-        for kb, cb in b.items():
-            if ha + (kb >> hshift) <= bound:
-                k = ka + kb
-                prev = out.get(k)
-                out[k] = ca * cb if prev is None else prev + ca * cb
-    return out

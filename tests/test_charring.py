@@ -254,7 +254,9 @@ def _dict_mul(a, b, bound):
     return out
 
 
-@pytest.mark.parametrize("coords,bound", [("3,1", 4), ("4,1", 3), ("5,2,1", 3)])
+@pytest.mark.parametrize(
+    "coords,bound", [("3,1", 4), ("4,1", 3), ("5,2,1", 3), ("7,4,2,1", 10)]
+)
 @pytest.mark.parametrize("even_only", [False, True])
 def test_super_matches_naive_expansion(coords, bound, even_only):
     mu = wt(coords)

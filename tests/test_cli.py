@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 import qblocks.cli as cli
 from qblocks.cli import main
 
@@ -121,6 +123,15 @@ def test_bad_weight_exits_two(capsys):
 def test_missing_rank_exits_two(capsys):
     code, _, err = run_cli(["linkage", "--samples", "2"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["linkage", "mult", "flag"])
+def test_zero_samples_exits_two(capsys, command):
+    # A sweep over no weights checks nothing, so it must not report a pass.
+    code, out, err = run_cli([command, "--n", "3", "--samples", "0"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "--samples" in err
 
 
 def test_rank_contradiction_exits_two(capsys):
