@@ -13,7 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
+from typing import Callable, Iterable, Iterator, Mapping, Union
 
 from qblocks.kernels._pykernels import binomial_product, geometric_product
 from qblocks.lattice import (
@@ -276,26 +276,26 @@ def _subset_sum_char(n: int) -> FormalCharacter:
     )
 
 
-def subset_sum_P(n: int, limit: Optional[int] = None) -> FormalCharacter:
+def subset_sum_P(n: int) -> FormalCharacter:
     """Multiset of all subset sums of the positive roots, as a character.
 
     Equals prod over positive roots of (1 + e^alpha); the mass is
     2^(n(n-1)/2).  Cached per rank, so callers share one instance.
     """
-    check_rank(n, limit)
+    check_rank(n)
     return _subset_sum_char(n)
 
 
-def subset_sum_Pw(w: Perm, limit: Optional[int] = None) -> FormalCharacter:
+def subset_sum_Pw(w: Perm) -> FormalCharacter:
     """Subset sums of the w-image of the positive system, i.e. prod over
     alpha of (1 + e^{w(alpha)}).  Computed by transporting subset_sum_P."""
-    return subset_sum_P(w.rank, limit).map_weights(w.act)
+    return subset_sum_P(w.rank).map_weights(w.act)
 
 
-def ext_neg(n: int, limit: Optional[int] = None) -> FormalCharacter:
+def ext_neg(n: int) -> FormalCharacter:
     """Character of the exterior algebra on the negative roots:
     prod over positive alpha of (1 + e^{-alpha})."""
-    return subset_sum_P(n, limit).negate_weights()
+    return subset_sum_P(n).negate_weights()
 
 
 @lru_cache(maxsize=None)
@@ -357,13 +357,13 @@ def super_verma_char(
     return _offsets_to_char(mu, _super_offset_terms(n, trunc.bound), factor)
 
 
-def subset_sum_P_by_enumeration(n: int, limit: Optional[int] = None) -> FormalCharacter:
+def subset_sum_P_by_enumeration(n: int) -> FormalCharacter:
     """Oracle twin of subset_sum_P built by walking all 2^(n(n-1)/2) subsets.
 
     Only viable for small ranks; kept as an independent route for testing the
     convolution construction.
     """
-    check_rank(n, limit)
+    check_rank(n)
     roots = [r.as_weight(n) for r in positive_roots(n)]
     acc: dict[Weight, int] = {}
     zero = Weight.zero(n)

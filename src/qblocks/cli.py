@@ -3,13 +3,16 @@ and multiplicity tables, with deterministic JSON or TSV output.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource
 guard.  Identical arguments and seed produce byte-identical output.
+
+Every command that enumerates a symmetric group checks its rank once, before
+it enumerates anything or builds a row, against QBLOCKS_MAX_RANK or, when
+that is unset, CLI_DEFAULT_MAX_RANK.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Optional
@@ -27,7 +30,7 @@ from qblocks.filtration import (
 from qblocks.lattice import Weight, classify
 from qblocks.sampling import sample_weights
 from qblocks.selftest import DEFAULT_SEED, run_all
-from qblocks.weyl import ENV_MAX_RANK, GuardError, Perm, all_perms, dot_orbit, orbit
+from qblocks.weyl import GuardError, Perm, all_perms, check_rank, dot_orbit, orbit
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -35,12 +38,6 @@ EXIT_USAGE = 2
 EXIT_GUARD = 3
 
 CLI_DEFAULT_MAX_RANK = 7
-
-
-def cli_rank_limit() -> int:
-    """Exhaustive sweeps stop at n = 7 unless the guard env var raises it."""
-    env = os.environ.get(ENV_MAX_RANK)
-    return int(env) if env else CLI_DEFAULT_MAX_RANK
 
 
 def _resolve_weights(args) -> tuple[int, list[Weight]]:
@@ -64,12 +61,12 @@ def _resolve_weights(args) -> tuple[int, list[Weight]]:
 
 
 def _resolve_perms(args, n: int) -> list[Perm]:
-    if args.w == "all":
-        return list(all_perms(n, limit=cli_rank_limit()))
-    w = Perm.parse(args.w)
-    if w.rank != n:
+    """Validate --w, then apply the rank guard before enumerating anything."""
+    w = None if args.w == "all" else Perm.parse(args.w)
+    if w is not None and w.rank != n:
         raise ValueError(f"--w has rank {w.rank}, expected {n}")
-    return [w]
+    check_rank(n, CLI_DEFAULT_MAX_RANK)
+    return list(all_perms(n)) if w is None else [w]
 
 
 def _map_rows(fn: Callable, payloads: list, workers: int) -> list:
@@ -116,8 +113,8 @@ def _emit(args, doc: dict, headers: list[str]) -> None:
 # payloads are plain strings and ints for the same reason.
 
 def _linkage_row(payload) -> dict:
-    lam_text, w_text, cap = payload
-    rep = linkage_check(Weight.parse(lam_text), Perm.parse(w_text), limit=cap)
+    lam_text, w_text = payload
+    rep = linkage_check(Weight.parse(lam_text), Perm.parse(w_text))
     return {
         "lambda": lam_text,
         "w": w_text,
@@ -130,15 +127,15 @@ def _linkage_row(payload) -> dict:
 
 
 def _mult_row(payload) -> dict:
-    lam_text, w_text, cap = payload
+    lam_text, w_text = payload
     lam, w = Weight.parse(lam_text), Perm.parse(w_text)
     n = lam.rank
     k = k_dim(n)
     raw_expected = 2 ** ((n - 1) - (n - 1) // 2)
-    flag = restriction_flag(lam, w, limit=cap)
-    block = res_block_mult(lam, w, limit=cap)
-    raw = ind_block_mult(lam, w, limit=cap)
-    split = ind_block_mult_split(lam, w, limit=cap)
+    flag = restriction_flag(lam, w)
+    block = res_block_mult(lam, w)
+    raw = ind_block_mult(lam, w)
+    split = ind_block_mult_split(lam, w)
     return {
         "lambda": lam_text,
         "w": w_text,
@@ -150,14 +147,14 @@ def _mult_row(payload) -> dict:
 
 
 def _flag_row(payload) -> dict:
-    lam_text, w_text, bound, cap = payload
+    lam_text, w_text, bound = payload
     lam, w = Weight.parse(lam_text), Perm.parse(w_text)
     wl = w.act(lam)
     trunc = Truncation(wl, bound)
     extracted = verma_flag_extract(
         super_verma_char(wl, trunc, even_only=True), trunc
     )
-    full = restriction_flag(lam, w, limit=cap)
+    full = restriction_flag(lam, w)
     direct = FlagMultiset((wt, m) for wt, m in full.items() if trunc.admits(wt))
     return {
         "lambda": lam_text,
@@ -187,11 +184,8 @@ def cmd_classify(args) -> int:
 
 def cmd_orbit(args) -> int:
     lam = Weight.parse(args.lam)
-    points = (
-        dot_orbit(lam, cli_rank_limit())
-        if args.dot
-        else orbit(lam, cli_rank_limit())
-    )
+    check_rank(lam.rank, CLI_DEFAULT_MAX_RANK)
+    points = dot_orbit(lam) if args.dot else orbit(lam)
     rows = [{"weight": str(x)} for x in sorted(points)]
     doc = {
         "command": "orbit",
@@ -205,10 +199,9 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_linkage(args) -> int:
-    cap = cli_rank_limit()
     n, lams = _resolve_weights(args)
     perms = _resolve_perms(args, n)
-    payloads = [(str(lam), str(w), cap) for lam in lams for w in perms]
+    payloads = [(str(lam), str(w)) for lam in lams for w in perms]
     rows = _map_rows(_linkage_row, payloads, args.workers)
     passed = all(r["passed"] for r in rows)
     doc = {
@@ -226,10 +219,9 @@ def cmd_linkage(args) -> int:
 
 
 def cmd_mult(args) -> int:
-    cap = cli_rank_limit()
     n, lams = _resolve_weights(args)
     perms = _resolve_perms(args, n)
-    payloads = [(str(lam), str(w), cap) for lam in lams for w in perms]
+    payloads = [(str(lam), str(w)) for lam in lams for w in perms]
     rows = _map_rows(_mult_row, payloads, args.workers)
     passed = all(r["ok"] for r in rows)
     doc = {
@@ -247,11 +239,10 @@ def cmd_mult(args) -> int:
 
 
 def cmd_flag(args) -> int:
-    cap = cli_rank_limit()
     n, lams = _resolve_weights(args)
     perms = _resolve_perms(args, n)
     bound = args.height if args.height is not None else full_support_height(n)
-    payloads = [(str(lam), str(w), bound, cap) for lam in lams for w in perms]
+    payloads = [(str(lam), str(w), bound) for lam in lams for w in perms]
     rows = _map_rows(_flag_row, payloads, args.workers)
     passed = all(r["match"] for r in rows)
     doc = {
@@ -269,6 +260,10 @@ def cmd_flag(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    if args.max_n is not None and args.max_n < 2:
+        # Criteria 1-4 and 7 start at n = 2: a smaller cap would report
+        # them as passed after no checks.
+        raise ValueError(f"--max-n must be at least 2, got {args.max_n}")
     results = run_all(seed=args.seed, max_n=args.max_n)
     for res in results:
         print(res.line())

@@ -19,7 +19,6 @@ from qblocks.charring import (
 )
 from qblocks.lattice import (
     Weight,
-    _same_rank,
     classify,
     simple_root_coefficients,
     weight_from_simple_coefficients,
@@ -103,17 +102,17 @@ def _require(lam: Weight, what: str, strongly_typical: bool = False) -> None:
 
 @lru_cache(maxsize=None)
 def _support_ints(n: int) -> frozenset[tuple[int, ...]]:
-    return frozenset(w.as_integers() for w, _ in subset_sum_P(n, limit=n).items())
+    return frozenset(w.as_integers() for w, _ in subset_sum_P(n).items())
 
 
 @lru_cache(maxsize=512)
 def _orbit_ints(lam: Weight) -> frozenset[tuple[int, ...]]:
-    return frozenset(w.as_integers() for w in orbit(lam, limit=lam.rank))
+    return frozenset(w.as_integers() for w in orbit(lam))
 
 
 @lru_cache(maxsize=512)
 def _dot_orbit_ints(lam: Weight) -> frozenset[tuple[int, ...]]:
-    return frozenset(w.as_integers() for w in dot_orbit(lam, limit=lam.rank))
+    return frozenset(w.as_integers() for w in dot_orbit(lam))
 
 
 @dataclass(frozen=True)
@@ -133,7 +132,7 @@ class LinkageReport:
     passed: bool
 
 
-def linkage_check(lam: Weight, w: Perm, limit: Optional[int] = None) -> LinkageReport:
+def linkage_check(lam: Weight, w: Perm) -> LinkageReport:
     """Intersect w.lam + (subset sums) with the plain orbit, and
     w(lam) - (subset sums) with the dot orbit.
 
@@ -141,12 +140,12 @@ def linkage_check(lam: Weight, w: Perm, limit: Optional[int] = None) -> LinkageR
     singletons {w(lam)} and {w.lam}, and the connecting offset must appear
     in the subset-sum multiset with coefficient 1.
     """
-    n = _same_rank(lam, w.act(lam))
-    check_rank(n, limit)
-    _require(lam, "linkage_check")
-    pchar = subset_sum_P(n, limit=n)
-    psupp = _support_ints(n)
     wl = w.act(lam)
+    n = lam.rank
+    check_rank(n)
+    _require(lam, "linkage_check")
+    pchar = subset_sum_P(n)
+    psupp = _support_ints(n)
     wd = w.dot(lam)
     wl_i = wl.as_integers()
     wd_i = wd.as_integers()
@@ -166,51 +165,51 @@ def linkage_check(lam: Weight, w: Perm, limit: Optional[int] = None) -> LinkageR
     return LinkageReport(lam, w, plain, dot, offset, mult, passed)
 
 
-def restriction_flag(lam: Weight, w: Perm, limit: Optional[int] = None) -> FlagMultiset:
+def restriction_flag(lam: Weight, w: Perm) -> FlagMultiset:
     """Verma flag of the even part of a restricted Verma supermodule.
 
     Entry at nu is k_dim(n) times the subset-sum coefficient of w(lam) - nu,
     computed directly from the subset-sum multiset.
     """
-    n = _same_rank(lam, w.act(lam))
-    check_rank(n, limit)
+    wl = w.act(lam)
+    n = lam.rank
+    check_rank(n)
     _require(lam, "restriction_flag", strongly_typical=True)
     k = k_dim(n)
-    wl = w.act(lam)
-    return FlagMultiset((wl - p, k * c) for p, c in subset_sum_P(n, limit=n).items())
+    return FlagMultiset((wl - p, k * c) for p, c in subset_sum_P(n).items())
 
 
-def res_block_mult(lam: Weight, w: Perm, limit: Optional[int] = None) -> int:
+def res_block_mult(lam: Weight, w: Perm) -> int:
     """Sum of restriction-flag entries over the dot orbit of lam."""
-    flag = restriction_flag(lam, w, limit)
-    return sum(flag.get(nu) for nu in dot_orbit(lam, limit=lam.rank))
+    flag = restriction_flag(lam, w)
+    return sum(flag.get(nu) for nu in dot_orbit(lam))
 
 
-def induction_flag(lam: Weight, w: Perm, limit: Optional[int] = None) -> FlagMultiset:
+def induction_flag(lam: Weight, w: Perm) -> FlagMultiset:
     """Super-Verma flag of an induced Verma module.
 
     Entry at nu is 2^(n-1) / k_dim(n) times the subset-sum coefficient of
     nu - w.lam; the ratio is always the integer 2^ceil((n-1)/2).
     """
-    n = _same_rank(lam, w.act(lam))
-    check_rank(n, limit)
+    wd = w.dot(lam)
+    n = lam.rank
+    check_rank(n)
     _require(lam, "induction_flag", strongly_typical=True)
     factor = 2 ** (n - 1) // k_dim(n)
-    wd = w.dot(lam)
-    return FlagMultiset((wd + p, factor * c) for p, c in subset_sum_P(n, limit=n).items())
+    return FlagMultiset((wd + p, factor * c) for p, c in subset_sum_P(n).items())
 
 
-def ind_block_mult(lam: Weight, w: Perm, limit: Optional[int] = None) -> int:
+def ind_block_mult(lam: Weight, w: Perm) -> int:
     """Sum of induction-flag entries over the plain orbit of lam (raw count,
     before identifying the two halves of a parity-switched pair)."""
-    flag = induction_flag(lam, w, limit)
-    return sum(flag.get(nu) for nu in orbit(lam, limit=lam.rank))
+    flag = induction_flag(lam, w)
+    return sum(flag.get(nu) for nu in orbit(lam))
 
 
-def ind_block_mult_split(lam: Weight, w: Perm, limit: Optional[int] = None) -> int:
+def ind_block_mult_split(lam: Weight, w: Perm) -> int:
     """Block multiplicity after parity splitting: the raw count halves when
     n is even and the induced summands come in switched pairs."""
-    raw = ind_block_mult(lam, w, limit)
+    raw = ind_block_mult(lam, w)
     n = lam.rank
     if n % 2 == 0:
         if raw % 2:

@@ -1,12 +1,12 @@
 """Symmetric-group machinery: plain and shifted (dot) actions, orbits,
-inversion sets, and the blowup guard for exhaustive sweeps."""
+inversion sets, and the rank guard that every exhaustive sweep calls."""
 
 from __future__ import annotations
 
 import itertools
 import os
 from operator import add, sub
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 from qblocks.lattice import Root, Weight, _same_rank
 
@@ -18,17 +18,14 @@ class GuardError(RuntimeError):
     """A request would enumerate too large a symmetric group."""
 
 
-def rank_limit(override: Optional[int] = None) -> int:
-    if override is not None:
-        return int(override)
+def check_rank(n: int, default: int = DEFAULT_MAX_RANK) -> None:
+    """Refuse rank n above QBLOCKS_MAX_RANK, or above default when it is unset.
+
+    The environment variable is the only override.  The library guards with
+    DEFAULT_MAX_RANK; the CLI passes its own, lower default.
+    """
     env = os.environ.get(ENV_MAX_RANK)
-    if env:
-        return int(env)
-    return DEFAULT_MAX_RANK
-
-
-def check_rank(n: int, limit: Optional[int] = None) -> None:
-    cap = rank_limit(limit)
+    cap = int(env) if env else default
     if n > cap:
         raise GuardError(
             f"rank {n} exceeds the resource guard ({cap}); "
@@ -129,22 +126,22 @@ class Perm:
         return f"Perm('{self}')"
 
 
-def all_perms(n: int, limit: Optional[int] = None) -> Iterator[Perm]:
+def all_perms(n: int) -> Iterator[Perm]:
     """All n! permutations in lexicographic order of their image tuples."""
-    check_rank(n, limit)
+    check_rank(n)
     for images in itertools.permutations(range(1, n + 1)):
         yield Perm(images)
 
 
-def orbit(lam: Weight, limit: Optional[int] = None) -> frozenset[Weight]:
+def orbit(lam: Weight) -> frozenset[Weight]:
     """Distinct images of lam under the plain action (coordinate shuffles)."""
-    check_rank(lam.rank, limit)
+    check_rank(lam.rank)
     return frozenset(Weight(p) for p in itertools.permutations(lam.coords))
 
 
-def dot_orbit(lam: Weight, limit: Optional[int] = None) -> frozenset[Weight]:
+def dot_orbit(lam: Weight) -> frozenset[Weight]:
     """Distinct images of lam under the dot action."""
-    check_rank(lam.rank, limit)
+    check_rank(lam.rank)
     rp = _rho_shift(lam.rank)
     shifted = tuple(map(add, lam.coords, rp))
     return frozenset(
@@ -178,9 +175,9 @@ def rho_defect(w: Perm) -> Weight:
     return Weight(coords)
 
 
-def same_block(mu: Weight, nu: Weight, limit: Optional[int] = None) -> bool:
+def same_block(mu: Weight, nu: Weight) -> bool:
     """Whether two integral weights lie in one dot orbit."""
     _same_rank(mu, nu)
     if not (mu.is_integral() and nu.is_integral()):
         raise ValueError("block membership is defined here for integral weights")
-    return nu in dot_orbit(mu, limit)
+    return nu in dot_orbit(mu)

@@ -112,6 +112,28 @@ def test_guard_exits_three(capsys):
     assert "rank" in err
 
 
+RANK8 = "8,7,6,5,4,3,2,1"
+
+
+@pytest.mark.parametrize("command", ["linkage", "mult", "flag"])
+@pytest.mark.parametrize("max_rank, lam, w", [
+    (None, RANK8, "all"),
+    (None, RANK8, "1 2 3 4 5 6 7 8"),
+    ("2", "5,2,1", "2 1 3"),
+])
+def test_rank_guard_refuses_before_work(
+    capsys, monkeypatch, command, max_rank, lam, w
+):
+    # A single --w must be refused as early as a whole S_n sweep: the flag
+    # row would otherwise start a rank-8 super-Verma build.
+    if max_rank is not None:
+        monkeypatch.setenv("QBLOCKS_MAX_RANK", max_rank)
+    code, out, err = run_cli([command, "--lambda", lam, "--w", w], capsys)
+    assert code == 3
+    assert out == ""
+    assert "QBLOCKS_MAX_RANK" in err
+
+
 def test_bad_weight_exits_two(capsys):
     code, _, err = run_cli(
         ["classify", "--lambda", "1,two"], capsys
@@ -200,6 +222,15 @@ def test_selftest_small(capsys):
     assert len(lines) == 10
     assert all(line.startswith("PASS") for line in lines[:9])
     assert lines[-1].startswith("OK: 9/9")
+
+
+@pytest.mark.parametrize("max_n", ["1", "0", "-3"])
+def test_selftest_small_max_n_exits_two(capsys, max_n):
+    # Below n = 2 most criteria would pass after zero checks.
+    code, out, err = run_cli(["selftest", "--max-n", max_n], capsys)
+    assert code == 2
+    assert out == ""
+    assert "--max-n" in err
 
 
 def test_console_script_installed():

@@ -4,6 +4,20 @@ from fractions import Fraction
 
 import pytest
 
+from qblocks.charring import (
+    ext_neg,
+    subset_sum_P,
+    subset_sum_P_by_enumeration,
+    subset_sum_Pw,
+)
+from qblocks.filtration import (
+    ind_block_mult,
+    ind_block_mult_split,
+    induction_flag,
+    linkage_check,
+    res_block_mult,
+    restriction_flag,
+)
 from qblocks.lattice import Weight, rho
 from qblocks.weyl import (
     ENV_MAX_RANK,
@@ -190,3 +204,33 @@ def test_guard_env_override(monkeypatch):
     monkeypatch.setenv(ENV_MAX_RANK, "9")
     lam = Weight(tuple(range(9, 0, -1)))
     assert len(orbit(lam)) == 362880
+
+
+
+LAM3 = Weight.parse("5,2,1")
+W3 = Perm.parse("2 1 3")
+GUARDED = {
+    "all_perms": lambda: list(all_perms(3)),
+    "orbit": lambda: orbit(LAM3),
+    "dot_orbit": lambda: dot_orbit(LAM3),
+    "same_block": lambda: same_block(LAM3, LAM3),
+    "subset_sum_P": lambda: subset_sum_P(3),
+    "subset_sum_Pw": lambda: subset_sum_Pw(W3),
+    "ext_neg": lambda: ext_neg(3),
+    "subset_sum_P_by_enumeration": lambda: subset_sum_P_by_enumeration(3),
+    "linkage_check": lambda: linkage_check(LAM3, W3),
+    "restriction_flag": lambda: restriction_flag(LAM3, W3),
+    "res_block_mult": lambda: res_block_mult(LAM3, W3),
+    "induction_flag": lambda: induction_flag(LAM3, W3),
+    "ind_block_mult": lambda: ind_block_mult(LAM3, W3),
+    "ind_block_mult_split": lambda: ind_block_mult_split(LAM3, W3),
+}
+
+
+@pytest.mark.parametrize("call", GUARDED.values(), ids=GUARDED.keys())
+def test_every_sweep_guards_its_own_rank(monkeypatch, call):
+    # The environment variable is the only override, so each public function
+    # that enumerates S_n or the subset sums must refuse by itself.
+    monkeypatch.setenv(ENV_MAX_RANK, "2")
+    with pytest.raises(GuardError):
+        call()
