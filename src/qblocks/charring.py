@@ -266,7 +266,7 @@ class _Packing:
 @lru_cache(maxsize=None)
 def _subset_sum_char(n: int) -> FormalCharacter:
     pk = _Packing(n, full_support_height(n))
-    raw = binomial_product(pk.packed_positive_roots(), pk.bound, pk.hshift)
+    raw = binomial_product({0: 1}, pk.packed_positive_roots(), pk.bound, pk.hshift)
     return FormalCharacter(
         n,
         (
@@ -311,7 +311,7 @@ def _super_offset_terms(n: int, bound: int) -> tuple[tuple[tuple[int, ...], int]
     # the Kostant partition recurrence started from the subset sums.
     pk = _Packing(n, bound)
     roots = pk.packed_positive_roots()
-    p = binomial_product(roots, bound, pk.hshift)
+    p = binomial_product({0: 1}, roots, bound, pk.hshift)
     raw = geometric_product(p, roots, bound, pk.hshift)
     return tuple(sorted((pk.unpack(k), c) for k, c in raw.items()))
 

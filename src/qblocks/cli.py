@@ -40,33 +40,36 @@ EXIT_GUARD = 3
 CLI_DEFAULT_MAX_RANK = 7
 
 
-def _resolve_weights(args) -> tuple[int, list[Weight]]:
+def _resolve_sweep(args) -> tuple[int, list[Weight], list[Perm]]:
+    """Validate the arguments and apply the rank guard before sampling any
+    weight or enumerating any permutation."""
+    lam = lo = hi = None
     if args.lam is not None:
         lam = Weight.parse(args.lam)
         if args.n is not None and args.n != lam.rank:
             raise ValueError(f"--n {args.n} contradicts --lambda of rank {lam.rank}")
-        return lam.rank, [lam]
-    if args.n is None:
-        raise ValueError("--n is required when --lambda is not given")
-    if args.samples < 1:
-        # An empty sweep would check nothing and still report success.
-        raise ValueError(f"--samples must be at least 1, got {args.samples}")
-    lo = hi = None
-    if args.sample_range:
-        lo_text, sep, hi_text = args.sample_range.partition(":")
-        if not sep:
-            raise ValueError(f"--sample-range wants LO:HI, got {args.sample_range!r}")
-        lo, hi = int(lo_text), int(hi_text)
-    return args.n, sample_weights(args.n, args.samples, seed=args.seed, lo=lo, hi=hi)
-
-
-def _resolve_perms(args, n: int) -> list[Perm]:
-    """Validate --w, then apply the rank guard before enumerating anything."""
+        n = lam.rank
+    else:
+        if args.n is None:
+            raise ValueError("--n is required when --lambda is not given")
+        if args.samples < 1:
+            # An empty sweep would check nothing and still report success.
+            raise ValueError(f"--samples must be at least 1, got {args.samples}")
+        if args.sample_range:
+            lo_text, sep, hi_text = args.sample_range.partition(":")
+            if not sep:
+                raise ValueError(f"--sample-range wants LO:HI, got {args.sample_range!r}")
+            lo, hi = int(lo_text), int(hi_text)
+        n = args.n
     w = None if args.w == "all" else Perm.parse(args.w)
     if w is not None and w.rank != n:
         raise ValueError(f"--w has rank {w.rank}, expected {n}")
     check_rank(n, CLI_DEFAULT_MAX_RANK)
-    return list(all_perms(n)) if w is None else [w]
+    if lam is None:
+        lams = sample_weights(n, args.samples, seed=args.seed, lo=lo, hi=hi)
+    else:
+        lams = [lam]
+    return n, lams, list(all_perms(n)) if w is None else [w]
 
 
 def _map_rows(fn: Callable, payloads: list, workers: int) -> list:
@@ -199,8 +202,7 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_linkage(args) -> int:
-    n, lams = _resolve_weights(args)
-    perms = _resolve_perms(args, n)
+    n, lams, perms = _resolve_sweep(args)
     payloads = [(str(lam), str(w)) for lam in lams for w in perms]
     rows = _map_rows(_linkage_row, payloads, args.workers)
     passed = all(r["passed"] for r in rows)
@@ -219,8 +221,7 @@ def cmd_linkage(args) -> int:
 
 
 def cmd_mult(args) -> int:
-    n, lams = _resolve_weights(args)
-    perms = _resolve_perms(args, n)
+    n, lams, perms = _resolve_sweep(args)
     payloads = [(str(lam), str(w)) for lam in lams for w in perms]
     rows = _map_rows(_mult_row, payloads, args.workers)
     passed = all(r["ok"] for r in rows)
@@ -239,8 +240,7 @@ def cmd_mult(args) -> int:
 
 
 def cmd_flag(args) -> int:
-    n, lams = _resolve_weights(args)
-    perms = _resolve_perms(args, n)
+    n, lams, perms = _resolve_sweep(args)
     bound = args.height if args.height is not None else full_support_height(n)
     payloads = [(str(lam), str(w), bound) for lam in lams for w in perms]
     rows = _map_rows(_flag_row, payloads, args.workers)
@@ -330,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.set_defaults(func=cmd_mult)
 
     f = sub.add_parser(
-        "flag", help="greedy flag extraction diffed against the direct route"
+        "flag", help="flag extraction by division diffed against the direct route"
     )
     _add_common(f, height=True)
     f.set_defaults(func=cmd_flag)

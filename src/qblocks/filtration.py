@@ -1,22 +1,23 @@
 """Verma-filtration multiplicities in both the restriction and induction
 directions, the orbit-intersection check that pins them to a single weight
-per block, and a greedy flag extractor used as an independent oracle."""
+per block, and flag extraction by division by the block generating function,
+an independent route to the restriction flag."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import sub
-from typing import Callable, Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, Union
 
 from qblocks.charring import (
     FormalCharacter,
     Truncation,
-    _super_offset_terms,
-    _verma_offset_terms,
+    _Packing,
     k_dim,
     subset_sum_P,
 )
+from qblocks.kernels._pykernels import binomial_product, geometric_product
 from qblocks.lattice import (
     Weight,
     classify,
@@ -218,40 +219,32 @@ def ind_block_mult_split(lam: Weight, w: Perm) -> int:
     return raw
 
 
-TieBreak = Callable[[list[Weight]], Weight]
-
-
 def verma_flag_extract(
-    char: FormalCharacter,
-    trunc: Truncation,
-    super_blocks: bool = False,
-    tie_break: Optional[TieBreak] = None,
+    char: FormalCharacter, trunc: Truncation, super_blocks: bool = False
 ) -> FlagMultiset:
-    """Greedily decompose a truncated character into (super-)Verma characters.
+    """Decompose a truncated character into (super-)Verma characters by
+    dividing it by the block generating function.
 
-    Repeatedly selects a dominance-maximal support weight mu, divides its
-    coefficient by the block's top coefficient (1 for plain Verma blocks,
-    k_dim(n) for even-part super blocks), records the multiplicity, and
-    subtracts that many copies of the block truncated to the remaining
-    height budget.  Any failure of divisibility or nonnegativity means the
-    input is not a flag character within the region.
-
-    The result does not depend on which maximal weight is chosen at each
-    step; tie_break, given the sorted list of maximal weights, may pick any
-    of them.  The default takes the lexicographically largest, which is
-    always dominance-maximal, so the maximal set is only materialized when a
-    tie_break is supplied.
+    A Verma block at mu is e^mu / prod over positive alpha of (1 - e^{-alpha});
+    an even-part super block is k_dim(n) times that, times P = prod (1 + e^{-alpha}).
+    Both are unitriangular in the height grading, so multiplying the
+    character by prod (1 - e^{-alpha}), and for super blocks dividing by P,
+    gives the flag exactly within the region (times k_dim(n) for super
+    blocks).  The products run on packed keys of base - weight, one sweep per
+    positive root.  The result is then scanned in increasing order of
+    simple-root coefficient tuples: a negative coefficient, or one not
+    divisible by the block's top coefficient, means the input is not a flag
+    character within the region.  That order and those errors are the ones
+    the greedy peel in selftest._peel_extract, the test oracle, meets first.
     """
     n = char.rank
     if trunc.base.rank != n:
         raise ValueError(f"rank mismatch: {trunc.base.rank} vs {n}")
     divisor = k_dim(n) if super_blocks else 1
-    block_terms = _super_offset_terms if super_blocks else _verma_offset_terms
     base = trunc.base
+    pk = _Packing(n, trunc.bound)
 
-    # Work on simple-root coefficient vectors of base - weight: dominance
-    # between region points becomes the componentwise order, reversed.
-    cur: dict[tuple[int, ...], int] = {}
+    acc: dict[int, int] = {}
     for wt, c in char.items():
         try:
             coeffs = simple_root_coefficients(base - wt)
@@ -261,45 +254,22 @@ def verma_flag_extract(
             raise FlagExtractionError(
                 f"character term at {wt} lies outside the truncation region"
             )
-        cur[coeffs] = c
+        acc[pk.pack(coeffs)] = c
 
-    found: dict[tuple[int, ...], int] = {}
-    while cur:
-        if tie_break is None:
-            chosen = min(cur)
-        else:
-            maximal = [
-                s
-                for s in cur
-                if not any(t != s and all(a <= b for a, b in zip(t, s)) for t in cur)
-            ]
-            weights = sorted(base - weight_from_simple_coefficients(n, s) for s in maximal)
-            pick = tie_break(weights)
-            chosen = simple_root_coefficients(base - pick)
-            if chosen not in cur:
-                raise ValueError(f"tie_break returned a non-maximal weight: {pick}")
-        coeff = cur[chosen]
+    roots = pk.packed_positive_roots()
+    acc = binomial_product(acc, roots, pk.bound, pk.hshift, sign=-1)
+    if super_blocks:
+        acc = geometric_product(acc, roots, pk.bound, pk.hshift, sign=-1)
+
+    found: list[tuple[Weight, int]] = []
+    for coeffs, coeff in sorted((pk.unpack(k), c) for k, c in acc.items()):
+        top = base - weight_from_simple_coefficients(n, coeffs)
         if coeff < 0:
-            raise FlagExtractionError(
-                "negative coefficient at "
-                f"{base - weight_from_simple_coefficients(n, chosen)}"
-            )
+            raise FlagExtractionError(f"negative coefficient at {top}")
         mult, rem = divmod(coeff, divisor)
         if rem:
             raise FlagExtractionError(
                 f"coefficient {coeff} not divisible by the top coefficient {divisor}"
             )
-        found[chosen] = mult
-        budget = trunc.bound - sum(chosen)
-        # mult copies of the block, which is divisor times its offset table;
-        # mult * divisor == coeff after the divisibility check.
-        for offs, bc in block_terms(n, budget):
-            key = tuple(a + b for a, b in zip(chosen, offs))
-            merged = cur.get(key, 0) - coeff * bc
-            if merged:
-                cur[key] = merged
-            else:
-                cur.pop(key, None)
-    return FlagMultiset(
-        (base - weight_from_simple_coefficients(n, s), m) for s, m in found.items()
-    )
+        found.append((top, mult))
+    return FlagMultiset(found)

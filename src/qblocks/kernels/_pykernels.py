@@ -19,9 +19,11 @@ Coefficient values are ordinary Python ints and are never bounded.
 """
 
 
-def binomial_product(vecs, bound, hshift):
-    """Expand prod_v (1 + x^v) over packed vectors, keeping heights <= bound."""
-    acc = {0: 1}
+def binomial_product(acc, vecs, bound, hshift, sign=1):
+    """Multiply acc by prod_v (1 + sign * x^v), truncated to heights <= bound;
+    acc maps valid packed keys to coefficients and is not modified.  With
+    sign -1 cancelled terms are dropped; with sign 1 and a positive acc no
+    term cancels."""
     for v in vecs:
         hv = v >> hshift
         out = dict(acc)
@@ -29,14 +31,18 @@ def binomial_product(vecs, bound, hshift):
             if (k >> hshift) + hv <= bound:
                 k2 = k + v
                 prev = out.get(k2)
-                out[k2] = c if prev is None else prev + c
+                out[k2] = sign * c if prev is None else prev + sign * c
+        if sign < 0:
+            for k in [k for k, c in out.items() if not c]:
+                del out[k]
         acc = out
     return acc
 
 
-def geometric_product(acc, vecs, bound, hshift):
-    """Multiply acc by prod_v (1 + x^v + x^2v + ...), truncated to heights
-    <= bound; acc maps valid packed keys to coefficients."""
+def geometric_product(acc, vecs, bound, hshift, sign=1):
+    """Multiply acc by prod_v 1 / (1 - sign * x^v), truncated to heights
+    <= bound; acc maps valid packed keys to coefficients.  With sign 1 this is
+    prod_v (1 + x^v + x^2v + ...); with sign -1 it divides by prod_v (1 + x^v)."""
     for v in vecs:
         hv = v >> hshift
         # Close the support under addition of v, then fill coefficients in
@@ -54,7 +60,7 @@ def geometric_product(acc, vecs, bound, hshift):
             frontier = grown
         out = {}
         for k in sorted(keys):
-            c = acc.get(k, 0) + out.get(k - v, 0)
+            c = acc.get(k, 0) + sign * out.get(k - v, 0)
             if c:
                 out[k] = c
         acc = out

@@ -3,6 +3,8 @@
 Each criterion function sweeps the rank range and case counts it is defined
 with, returns a CriterionResult, and never raises on a mere verification
 failure; tests and the selftest command decide what to do with red results.
+The greedy peel _peel_extract, the oracle for filtration.verma_flag_extract,
+lives here because criterion 9 and the tests are its only callers.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ from typing import Callable, Optional
 from qblocks.charring import (
     FormalCharacter,
     Truncation,
+    _super_offset_terms,
+    _verma_offset_terms,
     full_support_height,
     k_dim,
     subset_sum_P,
@@ -27,6 +31,7 @@ from qblocks.charring import (
     verma_char,
 )
 from qblocks.filtration import (
+    FlagExtractionError,
     FlagMultiset,
     ind_block_mult,
     ind_block_mult_split,
@@ -40,6 +45,7 @@ from qblocks.lattice import (
     leq,
     positive_roots,
     rho,
+    simple_root_coefficients,
     weight_from_simple_coefficients,
 )
 from qblocks.sampling import sample_weights
@@ -150,8 +156,8 @@ def check_induction_mult(
 def check_flag_oracle(
     seed: int = DEFAULT_SEED, samples: int = 3, max_n: Optional[int] = None
 ) -> CriterionResult:
-    """Criterion 4: greedy extraction from the even-part super-Verma
-    character reproduces the directly computed restriction flag."""
+    """Criterion 4: flag extraction by division from the even-part
+    super-Verma character reproduces the directly computed restriction flag."""
     t0 = time.perf_counter()
     cases = 0
     detail = ""
@@ -339,6 +345,93 @@ def _property_defect(rng: random.Random) -> Optional[str]:
     return None
 
 
+TieBreak = Callable[[list[Weight]], Weight]
+
+
+def _peel_extract(
+    char: FormalCharacter,
+    trunc: Truncation,
+    super_blocks: bool = False,
+    tie_break: Optional[TieBreak] = None,
+) -> FlagMultiset:
+    """Greedy oracle for filtration.verma_flag_extract.
+
+    Repeatedly selects a dominance-maximal support weight mu, divides its
+    coefficient by the block's top coefficient (1 for plain Verma blocks,
+    k_dim(n) for even-part super blocks), records the multiplicity, and
+    subtracts that many copies of the block truncated to the remaining
+    height budget.  Any failure of divisibility or nonnegativity means the
+    input is not a flag character within the region.
+
+    The result does not depend on which maximal weight is chosen at each
+    step; tie_break, given the sorted list of maximal weights, may pick any
+    of them.  The default takes the lexicographically largest, which is
+    always dominance-maximal, so the maximal set is only materialized when a
+    tie_break is supplied.
+    """
+    n = char.rank
+    if trunc.base.rank != n:
+        raise ValueError(f"rank mismatch: {trunc.base.rank} vs {n}")
+    divisor = k_dim(n) if super_blocks else 1
+    block_terms = _super_offset_terms if super_blocks else _verma_offset_terms
+    base = trunc.base
+
+    # Work on simple-root coefficient vectors of base - weight: dominance
+    # between region points becomes the componentwise order, reversed.
+    cur: dict[tuple[int, ...], int] = {}
+    for wt, c in char.items():
+        try:
+            coeffs = simple_root_coefficients(base - wt)
+        except ValueError:
+            coeffs = None
+        if coeffs is None or any(x < 0 for x in coeffs) or sum(coeffs) > trunc.bound:
+            raise FlagExtractionError(
+                f"character term at {wt} lies outside the truncation region"
+            )
+        cur[coeffs] = c
+
+    found: dict[tuple[int, ...], int] = {}
+    while cur:
+        if tie_break is None:
+            chosen = min(cur)
+        else:
+            maximal = [
+                s
+                for s in cur
+                if not any(t != s and all(a <= b for a, b in zip(t, s)) for t in cur)
+            ]
+            weights = sorted(base - weight_from_simple_coefficients(n, s) for s in maximal)
+            pick = tie_break(weights)
+            chosen = simple_root_coefficients(base - pick)
+            if chosen not in cur:
+                raise ValueError(f"tie_break returned a non-maximal weight: {pick}")
+        coeff = cur[chosen]
+        if coeff < 0:
+            raise FlagExtractionError(
+                "negative coefficient at "
+                f"{base - weight_from_simple_coefficients(n, chosen)}"
+            )
+        mult, rem = divmod(coeff, divisor)
+        if rem:
+            raise FlagExtractionError(
+                f"coefficient {coeff} not divisible by the top coefficient {divisor}"
+            )
+        found[chosen] = mult
+        budget = trunc.bound - sum(chosen)
+        # mult copies of the block, which is divisor times its offset table;
+        # mult * divisor == coeff after the divisibility check.
+        for offs, bc in block_terms(n, budget):
+            key = tuple(a + b for a, b in zip(chosen, offs))
+            merged = cur.get(key, 0) - coeff * bc
+            if merged:
+                cur[key] = merged
+            else:
+                cur.pop(key, None)
+    return FlagMultiset(
+        (base - weight_from_simple_coefficients(n, s), m) for s, m in found.items()
+    )
+
+
 def _property_extraction(rng: random.Random) -> Optional[str]:
     n = rng.choice((2, 3))
     bound = full_support_height(n) + rng.randint(0, 2)
@@ -365,11 +458,11 @@ def _property_extraction(rng: random.Random) -> Optional[str]:
         )
         total = total + block.scale(mult)
     want = FlagMultiset(expected)
-    got_default = verma_flag_extract(total, trunc, super_blocks=super_blocks)
-    got_random = verma_flag_extract(
+    got_division = verma_flag_extract(total, trunc, super_blocks=super_blocks)
+    got_random = _peel_extract(
         total, trunc, super_blocks=super_blocks, tie_break=rng.choice
     )
-    if got_default != want or got_random != want:
+    if got_division != want or got_random != want:
         return f"extraction differs: base={base} picks={picks} super={super_blocks}"
     return None
 

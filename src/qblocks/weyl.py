@@ -25,7 +25,12 @@ def check_rank(n: int, default: int = DEFAULT_MAX_RANK) -> None:
     DEFAULT_MAX_RANK; the CLI passes its own, lower default.
     """
     env = os.environ.get(ENV_MAX_RANK)
-    cap = int(env) if env else default
+    try:
+        cap = int(env) if env else default
+    except ValueError:
+        raise ValueError(
+            f"{ENV_MAX_RANK} must be an integer, got {env!r}"
+        ) from None
     if n > cap:
         raise GuardError(
             f"rank {n} exceeds the resource guard ({cap}); "

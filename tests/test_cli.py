@@ -134,6 +134,41 @@ def test_rank_guard_refuses_before_work(
     assert "QBLOCKS_MAX_RANK" in err
 
 
+@pytest.mark.parametrize("command", ["linkage", "mult", "flag"])
+def test_rank_guard_refuses_before_sampling(capsys, monkeypatch, command):
+    # The rank is known from --n, so a sweep above the guard must not draw
+    # a single weight before it exits 3.
+    def never(*args, **kwargs):
+        raise AssertionError("sample_weights called before the rank guard")
+
+    monkeypatch.setattr(cli, "sample_weights", never)
+    code, out, err = run_cli([command, "--n", "9", "--samples", "100000"], capsys)
+    assert code == 3
+    assert out == ""
+    assert "QBLOCKS_MAX_RANK" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--n", "9", "--lambda", "3,1"],
+    ["--n", "9", "--w", "2 1"],
+    ["--lambda", "9,8,7,6,5,4,3,2,1", "--w", "2 1"],
+])
+def test_rank_mismatch_exits_two_before_guard(capsys, argv):
+    code, out, err = run_cli(["linkage"] + argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert "QBLOCKS_MAX_RANK" not in err
+
+
+@pytest.mark.parametrize("value", ["abc", "3.5", " "])
+def test_malformed_max_rank_exits_two_naming_it(capsys, monkeypatch, value):
+    monkeypatch.setenv("QBLOCKS_MAX_RANK", value)
+    code, out, err = run_cli(["orbit", "--lambda", "3,1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "QBLOCKS_MAX_RANK" in err and repr(value) in err
+
+
 def test_bad_weight_exits_two(capsys):
     code, _, err = run_cli(
         ["classify", "--lambda", "1,two"], capsys

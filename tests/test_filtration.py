@@ -1,5 +1,5 @@
-"""Linkage reports, filtration multiplicities in both directions, and the
-greedy flag-extraction oracle."""
+"""Linkage reports, filtration multiplicities in both directions, and flag
+extraction by division against the greedy peel oracle."""
 
 import pytest
 
@@ -25,7 +25,8 @@ from qblocks.filtration import (
     restriction_flag,
     verma_flag_extract,
 )
-from qblocks.lattice import Weight, rho
+from qblocks.lattice import Weight, rho, weight_from_simple_coefficients
+from qblocks.selftest import _peel_extract
 from qblocks.weyl import Perm, all_perms, rho_defect
 
 
@@ -158,8 +159,8 @@ def test_extract_single_verma():
 
 
 def test_extract_nested_pair():
-    # two summands whose highest weights are comparable: the lower one only
-    # becomes visible after the top block is peeled off
+    # two summands whose highest weights are comparable: the lower one's
+    # coefficient sits inside the top block's character
     base = wt("4,0")
     t = Truncation(base, 4)
     a = wt("3,1")
@@ -256,6 +257,56 @@ def test_extract_tie_break_choice_is_irrelevant():
     a = base - wt("1,-1,0")
     b = base - wt("0,1,-1")
     ch = verma_char(a, Truncation(a, 5)) + verma_char(b, Truncation(b, 5))
-    first = verma_flag_extract(ch, t, tie_break=lambda xs: xs[0])
-    last = verma_flag_extract(ch, t, tie_break=lambda xs: xs[-1])
-    assert first == last == FlagMultiset([(a, 1), (b, 1)])
+    first = _peel_extract(ch, t, tie_break=lambda xs: xs[0])
+    last = _peel_extract(ch, t, tie_break=lambda xs: xs[-1])
+    assert first == last == verma_flag_extract(ch, t) == FlagMultiset([(a, 1), (b, 1)])
+
+
+def test_peel_rejects_non_maximal_tie_break():
+    mu = wt("4,0")
+    t = Truncation(mu, 2)
+    with pytest.raises(ValueError, match="non-maximal"):
+        _peel_extract(verma_char(mu, t), t, tie_break=lambda xs: mu - wt("1,-1"))
+
+
+def _outcome(extract, ch, t, super_blocks):
+    try:
+        return extract(ch, t, super_blocks=super_blocks)
+    except FlagExtractionError as exc:
+        return type(exc), str(exc)
+
+
+DIFFERENTIAL_LAMBDAS = {2: "3,1", 3: "5,2,1", 4: "7,5,3,1"}
+
+
+def test_division_matches_peel_oracle():
+    # Flags and non-flags, plain and super blocks: the division and the
+    # greedy peel must return the same multiset or fail the same way.
+    cases = 0
+    errors = set()
+    for n, coords in DIFFERENTIAL_LAMBDAS.items():
+        H = full_support_height(n)
+        k = k_dim(n)
+        lam = wt(coords)
+        for w in all_perms(n):
+            wl = w.act(lam)
+            for bound in sorted({0, 1, H // 2, H}):
+                t = Truncation(wl, bound)
+                low = wl - weight_from_simple_coefficients(n, (bound,) + (0,) * (n - 2))
+                chars = (
+                    super_verma_char(wl, t, even_only=True),
+                    3 * super_verma_char(wl, t) + 2 * k * verma_char(wl, t),
+                    verma_char(wl, t) - 2 * FormalCharacter.delta(low),
+                )
+                for ch in chars:
+                    for super_blocks in (False, True):
+                        got = _outcome(verma_flag_extract, ch, t, super_blocks)
+                        want = _outcome(_peel_extract, ch, t, super_blocks)
+                        assert got == want, (n, w, bound, super_blocks)
+                        if isinstance(want, tuple):
+                            errors.add(want[1].split(" ")[0])
+                        cases += 1
+    # 32 (n, w) pairs, 4 heights (only 2 distinct at n = 2, where H = 1),
+    # 3 characters, plain and super blocks.
+    assert cases == 744
+    assert errors == {"negative", "coefficient"}

@@ -24,6 +24,7 @@ from qblocks.weyl import (
     GuardError,
     Perm,
     all_perms,
+    check_rank,
     dot_orbit,
     inversion_roots,
     orbit,
@@ -205,6 +206,14 @@ def test_guard_env_override(monkeypatch):
     lam = Weight(tuple(range(9, 0, -1)))
     assert len(orbit(lam)) == 362880
 
+
+@pytest.mark.parametrize("value", ["abc", "3.5", " "])
+def test_guard_env_malformed_names_variable(monkeypatch, value):
+    monkeypatch.setenv(ENV_MAX_RANK, value)
+    with pytest.raises(ValueError) as info:
+        check_rank(3)
+    assert ENV_MAX_RANK in str(info.value)
+    assert repr(value) in str(info.value)
 
 
 LAM3 = Weight.parse("5,2,1")
