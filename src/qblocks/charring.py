@@ -3,8 +3,9 @@
 A FormalCharacter is a finitely supported Weight -> int map with convolution
 product.  The heavy builders (subset-sum multisets of positive roots and
 truncated Verma and super-Verma offsets) run on packed integer keys through
-the kernels in qblocks.kernels._pykernels and only convert to Weight keys
-once, at the end.
+the kernels in qblocks.kernels._pykernels.  The offset tables are cached as
+the kernels' packed dicts, and _Packing.weight_below and key_below are the
+only conversions between a region's keys and its weights.
 """
 
 from __future__ import annotations
@@ -13,15 +14,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Mapping, Union
+from types import MappingProxyType
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
 from qblocks.kernels._pykernels import binomial_product, geometric_product
-from qblocks.lattice import (
-    Weight,
-    positive_roots,
-    simple_root_coefficients,
-    weight_from_simple_coefficients,
-)
+from qblocks.lattice import Weight, positive_roots, weight_from_simple_coefficients
 from qblocks.weyl import Perm, check_rank
 
 TermsLike = Union[Mapping[Weight, int], Iterable[tuple[Weight, int]]]
@@ -195,11 +192,7 @@ class Truncation:
             raise ValueError(f"truncation bound must be a nonnegative int: {self.bound!r}")
 
     def admits(self, w: Weight) -> bool:
-        try:
-            coeffs = simple_root_coefficients(self.base - w)
-        except ValueError:
-            return False
-        return all(c >= 0 for c in coeffs) and sum(coeffs) <= self.bound
+        return _Packing(self.base.rank, self.bound).key_below(self.base, w) is not None
 
 
 def full_support_height(n: int) -> int:
@@ -230,37 +223,60 @@ class _Packing:
     The digit width adapts to the bound; keys are unbounded Python ints.
     """
 
-    __slots__ = ("n", "dim", "bound", "shift", "hshift", "mask")
+    __slots__ = ("n", "bound", "shift", "hshift", "mask")
 
     def __init__(self, n: int, bound: int):
         if bound < 0:
             raise ValueError(f"negative truncation bound: {bound}")
         self.n = n
-        self.dim = n - 1
         self.bound = bound
         self.shift = max(8, (bound + 2).bit_length())
-        self.hshift = self.dim * self.shift
+        self.hshift = (n - 1) * self.shift
         self.mask = (1 << self.shift) - 1
 
-    def pack(self, coeffs: Iterable[int]) -> int:
-        key = 0
-        total = 0
-        for pos, c in enumerate(coeffs):
-            key |= c << (pos * self.shift)
-            total += c
-        return key | (total << self.hshift)
+    def key_below(self, base: Weight, wt: Weight) -> Optional[int]:
+        """Key of base - wt, or None when wt has another rank or base - wt is
+        not a nonnegative integer simple-root combination of height <= bound."""
+        if base.rank != self.n or wt.rank != self.n:
+            return None
+        key = height = acc = off = 0
+        # The simple-root coefficients are the proper prefix sums.
+        for b, w in zip(base.coords[:-1], wt.coords):
+            acc += b - w
+            if type(acc) is not int:
+                if acc.denominator != 1:
+                    return None
+                acc = acc.numerator
+            if acc < 0:
+                return None
+            height += acc
+            key |= acc << off
+            off += self.shift
+        if height > self.bound or acc + base.coords[-1] != wt.coords[-1]:
+            return None
+        return key | (height << self.hshift)
+
+    def weight_below(self, base: Weight, key: int) -> Weight:
+        """The weight base - offset, where key packs the offset."""
+        coords = []
+        prev = 0
+        for pos, b in enumerate(base.coords[:-1]):
+            c = (key >> (pos * self.shift)) & self.mask
+            coords.append(b - c + prev)
+            prev = c
+        coords.append(base.coords[-1] + prev)
+        return Weight(coords)
 
     def unpack(self, key: int) -> tuple[int, ...]:
-        return tuple((key >> (pos * self.shift)) & self.mask for pos in range(self.dim))
+        return tuple((key >> (pos * self.shift)) & self.mask for pos in range(self.n - 1))
 
     def packed_positive_roots(self) -> list[int]:
-        out = []
-        for root in positive_roots(self.n):
-            coeffs = [0] * self.dim
-            for pos in range(root.i - 1, root.j - 1):
-                coeffs[pos] = 1
-            out.append(self.pack(coeffs))
-        return out
+        # e_i - e_j has coefficient 1 on the simple roots i .. j - 1.
+        return [
+            sum(1 << (pos * self.shift) for pos in range(r.i - 1, r.j - 1))
+            | ((r.j - r.i) << self.hshift)
+            for r in positive_roots(self.n)
+        ]
 
 
 @lru_cache(maxsize=None)
@@ -299,33 +315,29 @@ def ext_neg(n: int) -> FormalCharacter:
 
 
 @lru_cache(maxsize=None)
-def _verma_offset_terms(n: int, bound: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    pk = _Packing(n, bound)
-    raw = geometric_product({0: 1}, pk.packed_positive_roots(), bound, pk.hshift)
-    return tuple(sorted((pk.unpack(k), c) for k, c in raw.items()))
-
-
-@lru_cache(maxsize=None)
-def _super_offset_terms(n: int, bound: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    # P * prod (1 - x^alpha)^-1: one geometric pass over P per positive root,
-    # the Kostant partition recurrence started from the subset sums.
+def _offset_table(n: int, bound: int, super_blocks: bool) -> Mapping[int, int]:
+    """Packed offsets of the Verma block prod (1 - x^alpha)^-1, or with
+    super_blocks of P times it: one geometric pass per positive root, the
+    Kostant partition recurrence.  Every caller shares the cached table, so
+    it is handed out read-only."""
     pk = _Packing(n, bound)
     roots = pk.packed_positive_roots()
-    p = binomial_product({0: 1}, roots, bound, pk.hshift)
-    raw = geometric_product(p, roots, bound, pk.hshift)
-    return tuple(sorted((pk.unpack(k), c) for k, c in raw.items()))
+    start = {0: 1}
+    if super_blocks:
+        start = binomial_product(start, roots, bound, pk.hshift)
+    return MappingProxyType(geometric_product(start, roots, bound, pk.hshift))
 
 
 def _offsets_to_char(
-    mu: Weight, terms: Iterable[tuple[tuple[int, ...], int]], factor: int = 1
+    mu: Weight, trunc: Truncation, super_blocks: bool, factor: int = 1
 ) -> FormalCharacter:
+    if trunc.base != mu:
+        raise ValueError(f"truncation base {trunc.base} does not match {mu}")
     n = mu.rank
+    pk = _Packing(n, trunc.bound)
+    table = _offset_table(n, trunc.bound, super_blocks)
     return FormalCharacter(
-        n,
-        (
-            (mu - weight_from_simple_coefficients(n, coeffs), factor * c)
-            for coeffs, c in terms
-        ),
+        n, ((pk.weight_below(mu, k), factor * c) for k, c in table.items())
     )
 
 
@@ -336,9 +348,7 @@ def verma_char(mu: Weight, trunc: Truncation) -> FormalCharacter:
     The coefficient at mu - nu counts the ways to write nu as a nonnegative
     integer combination of positive roots.
     """
-    if trunc.base != mu:
-        raise ValueError(f"truncation base {trunc.base} does not match {mu}")
-    return _offsets_to_char(mu, _verma_offset_terms(mu.rank, trunc.bound))
+    return _offsets_to_char(mu, trunc, False)
 
 
 def super_verma_char(
@@ -350,11 +360,8 @@ def super_verma_char(
     with even_only the leading factor drops to k_dim(n), the per-parity
     dimension of the top Clifford module.
     """
-    if trunc.base != mu:
-        raise ValueError(f"truncation base {trunc.base} does not match {mu}")
-    n = mu.rank
-    factor = k_dim(n) if even_only else 2 * k_dim(n)
-    return _offsets_to_char(mu, _super_offset_terms(n, trunc.bound), factor)
+    factor = k_dim(mu.rank) if even_only else 2 * k_dim(mu.rank)
+    return _offsets_to_char(mu, trunc, True, factor)
 
 
 def subset_sum_P_by_enumeration(n: int) -> FormalCharacter:

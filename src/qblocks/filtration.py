@@ -18,12 +18,7 @@ from qblocks.charring import (
     subset_sum_P,
 )
 from qblocks.kernels._pykernels import binomial_product, geometric_product
-from qblocks.lattice import (
-    Weight,
-    classify,
-    simple_root_coefficients,
-    weight_from_simple_coefficients,
-)
+from qblocks.lattice import Weight, classify
 from qblocks.weyl import Perm, check_rank, dot_orbit, orbit
 
 
@@ -231,11 +226,11 @@ def verma_flag_extract(
     character by prod (1 - e^{-alpha}), and for super blocks dividing by P,
     gives the flag exactly within the region (times k_dim(n) for super
     blocks).  The products run on packed keys of base - weight, one sweep per
-    positive root.  The result is then scanned in increasing order of
-    simple-root coefficient tuples: a negative coefficient, or one not
-    divisible by the block's top coefficient, means the input is not a flag
-    character within the region.  That order and those errors are the ones
-    the greedy peel in selftest._peel_extract, the test oracle, meets first.
+    positive root.  A negative quotient coefficient, or one not divisible by
+    the block's top coefficient, means the input is not a flag character
+    within the region.  The error raised is the one at the largest such
+    weight in lexicographic order, which is the first that the greedy peel
+    in selftest._peel_extract, the test oracle, meets.
     """
     n = char.rank
     if trunc.base.rank != n:
@@ -246,30 +241,28 @@ def verma_flag_extract(
 
     acc: dict[int, int] = {}
     for wt, c in char.items():
-        try:
-            coeffs = simple_root_coefficients(base - wt)
-        except ValueError:
-            coeffs = None
-        if coeffs is None or any(x < 0 for x in coeffs) or sum(coeffs) > trunc.bound:
+        key = pk.key_below(base, wt)
+        if key is None:
             raise FlagExtractionError(
                 f"character term at {wt} lies outside the truncation region"
             )
-        acc[pk.pack(coeffs)] = c
+        acc[key] = c
 
     roots = pk.packed_positive_roots()
     acc = binomial_product(acc, roots, pk.bound, pk.hshift, sign=-1)
     if super_blocks:
         acc = geometric_product(acc, roots, pk.bound, pk.hshift, sign=-1)
 
-    found: list[tuple[Weight, int]] = []
-    for coeffs, coeff in sorted((pk.unpack(k), c) for k, c in acc.items()):
-        top = base - weight_from_simple_coefficients(n, coeffs)
+    bad = [
+        (pk.weight_below(base, k), c) for k, c in acc.items() if c < 0 or c % divisor
+    ]
+    if bad:
+        top, coeff = max(bad)
         if coeff < 0:
             raise FlagExtractionError(f"negative coefficient at {top}")
-        mult, rem = divmod(coeff, divisor)
-        if rem:
-            raise FlagExtractionError(
-                f"coefficient {coeff} not divisible by the top coefficient {divisor}"
-            )
-        found.append((top, mult))
-    return FlagMultiset(found)
+        raise FlagExtractionError(
+            f"coefficient {coeff} not divisible by the top coefficient {divisor}"
+        )
+    return FlagMultiset(
+        (pk.weight_below(base, k), c // divisor) for k, c in acc.items()
+    )

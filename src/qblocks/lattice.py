@@ -115,10 +115,6 @@ class Root(NamedTuple):
     i: int
     j: int
 
-    @property
-    def is_positive(self) -> bool:
-        return self.i < self.j
-
     def as_weight(self, n: int) -> Weight:
         if not (1 <= self.i <= n and 1 <= self.j <= n and self.i != self.j):
             raise ValueError(f"root {self} does not live in rank {n}")

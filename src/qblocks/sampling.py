@@ -7,6 +7,9 @@ from typing import Optional
 
 from qblocks.lattice import Weight
 
+# Draws allowed per requested weight before the sampler gives up.
+_MAX_TRIES = 1000
+
 
 def sample_weights(
     n: int,
@@ -14,7 +17,6 @@ def sample_weights(
     seed: int = 0,
     lo: Optional[int] = None,
     hi: Optional[int] = None,
-    max_tries: int = 1000,
 ) -> list[Weight]:
     """Distinct strictly decreasing integer weights with no zero pair sums.
 
@@ -38,7 +40,7 @@ def sample_weights(
     tries = 0
     while len(out) < count:
         tries += 1
-        if tries > max_tries * max(count, 1):
+        if tries > _MAX_TRIES * max(count, 1):
             raise RuntimeError(
                 f"sampler kept rejecting; widen the range {lo}..{hi}"
             )

@@ -19,8 +19,8 @@ from typing import Callable, Optional
 from qblocks.charring import (
     FormalCharacter,
     Truncation,
-    _super_offset_terms,
-    _verma_offset_terms,
+    _Packing,
+    _offset_table,
     full_support_height,
     k_dim,
     subset_sum_P,
@@ -373,7 +373,6 @@ def _peel_extract(
     if trunc.base.rank != n:
         raise ValueError(f"rank mismatch: {trunc.base.rank} vs {n}")
     divisor = k_dim(n) if super_blocks else 1
-    block_terms = _super_offset_terms if super_blocks else _verma_offset_terms
     base = trunc.base
 
     # Work on simple-root coefficient vectors of base - weight: dominance
@@ -420,8 +419,9 @@ def _peel_extract(
         budget = trunc.bound - sum(chosen)
         # mult copies of the block, which is divisor times its offset table;
         # mult * divisor == coeff after the divisibility check.
-        for offs, bc in block_terms(n, budget):
-            key = tuple(a + b for a, b in zip(chosen, offs))
+        pk = _Packing(n, budget)
+        for k, bc in _offset_table(n, budget, super_blocks).items():
+            key = tuple(a + b for a, b in zip(chosen, pk.unpack(k)))
             merged = cur.get(key, 0) - coeff * bc
             if merged:
                 cur[key] = merged

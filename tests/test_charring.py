@@ -3,12 +3,15 @@ highest-weight characters, each checked against naive expansions."""
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 from qblocks.charring import (
     FormalCharacter,
     Truncation,
+    _offset_table,
+    _Packing,
     ext_neg,
     full_support_height,
     k_dim,
@@ -19,7 +22,15 @@ from qblocks.charring import (
     thick_dim,
     verma_char,
 )
-from qblocks.lattice import Weight, height, leq, positive_roots, rho
+from qblocks.lattice import (
+    Weight,
+    height,
+    leq,
+    positive_roots,
+    rho,
+    simple_root_coefficients,
+    weight_from_simple_coefficients,
+)
 from qblocks.weyl import Perm, all_perms
 
 
@@ -165,6 +176,75 @@ def test_truncation_region():
     assert t.admits(wt("2,2"))
     assert not t.admits(wt("1,3"))
     assert not t.admits(wt("4,0"))
+
+
+def _admits_oracle(t, w):
+    if w.rank != t.base.rank:
+        return False
+    try:
+        coeffs = simple_root_coefficients(t.base - w)
+    except ValueError:
+        return False
+    return all(c >= 0 for c in coeffs) and sum(coeffs) <= t.bound
+
+
+HALF = Fraction(1, 2)
+
+
+def _region_probes(base):
+    """Weights near base: integral and half-integral shifts, shifts with a
+    nonzero total, shifts far below base, and weights of other ranks."""
+    n = base.rank
+    for d in itertools.product(range(-1, 3), repeat=n):
+        v = base - Weight(d)
+        yield v
+        yield v + Weight([HALF] * n)
+        yield v + Weight([HALF] + [0] * (n - 1))
+        yield base - Weight([4 * x for x in d])
+        # A coordinate too many or too few; the rest may agree with v.
+        yield Weight(list(v) + [v.coords[-1]])
+        if n > 1:
+            yield Weight(list(v)[:-1])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_admits_matches_coefficient_oracle(n):
+    bases = (
+        Weight(range(2 * n, 0, -2)),
+        Weight(Fraction(2 * (n - i) - 1, 2) for i in range(n)),
+    )
+    outcomes = set()
+    for base in bases:
+        for bound in (0, 1, 3, full_support_height(n)):
+            t = Truncation(base, bound)
+            for w in _region_probes(base):
+                want = _admits_oracle(t, w)
+                assert t.admits(w) == want, (base, bound, w)
+                outcomes.add((w.rank == n, want))
+    assert outcomes == {(True, True), (True, False), (False, False)}
+
+
+def test_admits_rejects_other_rank():
+    t = Truncation(wt("3,1,0"), 5)
+    assert not t.admits(wt("3,1"))
+    assert not t.admits(wt("3,1,0,0"))
+
+
+@pytest.mark.parametrize("super_blocks", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_offset_codec_round_trip(n, super_blocks):
+    bound = full_support_height(n)
+    pk = _Packing(n, bound)
+    table = _offset_table(n, bound, super_blocks)
+    bases = (
+        Weight(range(n, 0, -1)),
+        Weight(Fraction(2 * (n - i) - 1, 2) for i in range(n)),
+    )
+    for base in bases:
+        for k in table:
+            w = pk.weight_below(base, k)
+            assert pk.key_below(base, w) == k
+            assert w == base - weight_from_simple_coefficients(n, pk.unpack(k))
 
 
 def test_truncation_rejects_negative_bound():
