@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Optional
 
 from qblocks.charring import Truncation, full_support_height, k_dim, super_verma_char
@@ -44,6 +43,8 @@ def _resolve_sweep(args) -> tuple[int, list[Weight], list[Perm]]:
     """Validate the arguments and apply the rank guard before sampling any
     weight or enumerating any permutation."""
     lam = lo = hi = None
+    if args.workers < 1:
+        raise ValueError(f"--workers must be at least 1, got {args.workers}")
     if args.lam is not None:
         lam = Weight.parse(args.lam)
         if args.n is not None and args.n != lam.rank:
@@ -73,7 +74,10 @@ def _resolve_sweep(args) -> tuple[int, list[Weight], list[Perm]]:
 
 
 def _map_rows(fn: Callable, payloads: list, workers: int) -> list:
-    if workers and workers > 1:
+    if workers > 1:
+        # Imported here so serial runs never load multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = max(1, len(payloads) // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, payloads, chunksize=chunk))

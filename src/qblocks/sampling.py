@@ -3,12 +3,27 @@
 from __future__ import annotations
 
 import random
+from math import comb
 from typing import Optional
 
 from qblocks.lattice import Weight
 
 # Draws allowed per requested weight before the sampler gives up.
 _MAX_TRIES = 1000
+
+
+def _admissible_count(n: int, lo: int, hi: int) -> int:
+    """Number of admissible rank-n weights with entries in lo..hi.
+
+    An admissible weight is a set of n distinct nonzero entries holding at
+    most one of each pair +k, -k.  With p pairs in range and s other nonzero
+    values, choosing j pairs, a sign for each and n - j others gives
+    sum_j C(p, j) 2^j C(s, n - j).
+    """
+    pairs = max(0, min(hi, -lo))
+    nonzero = hi - lo + 1 - (lo <= 0 <= hi)
+    singles = nonzero - 2 * pairs
+    return sum(comb(pairs, j) * 2**j * comb(singles, n - j) for j in range(n + 1))
 
 
 def sample_weights(
@@ -34,6 +49,12 @@ def sample_weights(
     population = range(lo, hi + 1)
     if len(population) < n:
         raise ValueError(f"range {lo}..{hi} cannot supply {n} distinct entries")
+    available = _admissible_count(n, lo, hi)
+    if count > available:
+        raise RuntimeError(
+            f"range {lo}..{hi} holds only {available} admissible rank-{n} "
+            f"weights, {count} requested; widen the range"
+        )
     rng = random.Random(seed)
     out: list[Weight] = []
     seen = set()

@@ -1,20 +1,24 @@
 """Programmatic acceptance checks, runnable from the command line.
 
-Each criterion function sweeps the rank range and case counts it is defined
-with, returns a CriterionResult, and never raises on a mere verification
-failure; tests and the selftest command decide what to do with red results.
+Each criterion is a generator of per-case problems (None when the case
+holds, else its failure text) over the rank range and case counts it is
+defined with.  The _criterion decorator runs it to the end, times it, counts
+the cases and returns a CriterionResult carrying the first problem; a mere
+verification failure never raises, so tests and the selftest command decide
+what to do with red results.
 The greedy peel _peel_extract, the oracle for filtration.verma_flag_extract,
 lives here because criterion 9 and the tests are its only callers.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from qblocks.charring import (
     FormalCharacter,
@@ -77,118 +81,106 @@ def _cap(full_scale: int, max_n: Optional[int]) -> int:
     return full_scale if max_n is None else min(full_scale, max_n)
 
 
+_Problems = Iterator[Optional[str]]
+
+
+def _criterion(
+    number: int, name: str, ok_detail: str, budget: Optional[float] = None
+) -> Callable[[Callable[..., _Problems]], Callable[..., CriterionResult]]:
+    """Turn a generator yielding one problem per case (None when the case
+    holds, else its failure text) into a criterion: every case runs, the
+    call is timed, and the first problem becomes the detail."""
+
+    def decorate(cases_of: Callable[..., _Problems]) -> Callable[..., CriterionResult]:
+        @functools.wraps(cases_of)
+        def run(*args, **kwargs) -> CriterionResult:
+            t0 = time.perf_counter()
+            cases = 0
+            first: Optional[str] = None
+            for problem in cases_of(*args, **kwargs):
+                cases += 1
+                if first is None:
+                    first = problem
+            return CriterionResult(
+                number, name, first is None, cases, time.perf_counter() - t0,
+                ok_detail if first is None else first, budget=budget,
+            )
+
+        return run
+
+    return decorate
+
+
+def _sweep(
+    top: int, max_n: Optional[int], samples: int, seed: int, stride: int
+) -> Iterator[tuple[int, Weight, Perm]]:
+    """Every (n, lambda, w) for n = 2..top (capped by max_n), `samples`
+    weights drawn with seed + stride * n, and all w in S_n."""
+    for n in range(2, _cap(top, max_n) + 1):
+        for lam in sample_weights(n, samples, seed=seed + stride * n):
+            for w in all_perms(n):
+                yield n, lam, w
+
+
+@_criterion(1, "orbit linkage, exhaustive in w", "all singletons", budget=60)
 def check_linkage(
     seed: int = DEFAULT_SEED, samples: int = 10, max_n: Optional[int] = None
-) -> CriterionResult:
+) -> _Problems:
     """Criterion 1: both orbit intersections are singletons and the
     connecting offset has subset-sum coefficient 1, exhaustively in w."""
-    t0 = time.perf_counter()
-    cases = 0
-    detail = ""
-    passed = True
-    for n in range(2, _cap(6, max_n) + 1):
-        for lam in sample_weights(n, samples, seed=seed + n):
-            for w in all_perms(n):
-                rep = linkage_check(lam, w)
-                cases += 1
-                if not rep.passed and passed:
-                    passed = False
-                    detail = f"first failure: n={n} lambda={lam} w={w}"
-    return CriterionResult(
-        1, "orbit linkage, exhaustive in w", passed, cases,
-        time.perf_counter() - t0, detail or "all singletons", budget=60,
-    )
+    for n, lam, w in _sweep(6, max_n, samples, seed, 1):
+        ok = linkage_check(lam, w).passed
+        yield None if ok else f"first failure: n={n} lambda={lam} w={w}"
 
 
+@_criterion(2, "restriction block multiplicity", "all equal k_dim(n)", budget=10)
 def check_restriction_mult(
     seed: int = DEFAULT_SEED, samples: int = 3, max_n: Optional[int] = None
-) -> CriterionResult:
+) -> _Problems:
     """Criterion 2: the block-projected restriction multiplicity equals
     2^floor((n-1)/2), computed rather than assumed."""
-    t0 = time.perf_counter()
-    cases = 0
-    detail = ""
-    passed = True
-    for n in range(2, _cap(5, max_n) + 1):
-        expected = k_dim(n)
-        for lam in sample_weights(n, samples, seed=seed + 10 * n):
-            for w in all_perms(n):
-                got = res_block_mult(lam, w)
-                cases += 1
-                if got != expected and passed:
-                    passed = False
-                    detail = f"n={n} lambda={lam} w={w}: {got} != {expected}"
-    return CriterionResult(
-        2, "restriction block multiplicity", passed, cases,
-        time.perf_counter() - t0, detail or "all equal k_dim(n)", budget=10,
-    )
+    for n, lam, w in _sweep(5, max_n, samples, seed, 10):
+        got, want = res_block_mult(lam, w), k_dim(n)
+        yield None if got == want else f"n={n} lambda={lam} w={w}: {got} != {want}"
 
 
+@_criterion(3, "induction block multiplicity, raw and split", "all equal", budget=10)
 def check_induction_mult(
     seed: int = DEFAULT_SEED, samples: int = 3, max_n: Optional[int] = None
-) -> CriterionResult:
+) -> _Problems:
     """Criterion 3: raw induced multiplicity 2^ceil((n-1)/2), halving to
     k_dim(n) after the even-rank parity split."""
-    t0 = time.perf_counter()
-    cases = 0
-    detail = ""
-    passed = True
-    for n in range(2, _cap(5, max_n) + 1):
+    for n, lam, w in _sweep(5, max_n, samples, seed, 100):
         raw_expected = 2 ** ((n - 1) - (n - 1) // 2)
         split_expected = k_dim(n)
-        for lam in sample_weights(n, samples, seed=seed + 100 * n):
-            for w in all_perms(n):
-                raw = ind_block_mult(lam, w)
-                split = ind_block_mult_split(lam, w)
-                cases += 1
-                if (raw != raw_expected or split != split_expected) and passed:
-                    passed = False
-                    detail = (
-                        f"n={n} lambda={lam} w={w}: raw={raw} (want {raw_expected}) "
-                        f"split={split} (want {split_expected})"
-                    )
-    return CriterionResult(
-        3, "induction block multiplicity, raw and split", passed, cases,
-        time.perf_counter() - t0, detail or "all equal", budget=10,
-    )
+        raw = ind_block_mult(lam, w)
+        split = ind_block_mult_split(lam, w)
+        yield None if raw == raw_expected and split == split_expected else (
+            f"n={n} lambda={lam} w={w}: raw={raw} (want {raw_expected}) "
+            f"split={split} (want {split_expected})"
+        )
 
 
+@_criterion(
+    4, "flag extraction matches direct restriction flag", "routes agree", budget=30
+)
 def check_flag_oracle(
     seed: int = DEFAULT_SEED, samples: int = 3, max_n: Optional[int] = None
-) -> CriterionResult:
+) -> _Problems:
     """Criterion 4: flag extraction by division from the even-part
     super-Verma character reproduces the directly computed restriction flag."""
-    t0 = time.perf_counter()
-    cases = 0
-    detail = ""
-    passed = True
-    for n in range(2, _cap(4, max_n) + 1):
-        bound = full_support_height(n)
-        for lam in sample_weights(n, samples, seed=seed + 1000 * n):
-            for w in all_perms(n):
-                wl = w.act(lam)
-                trunc = Truncation(wl, bound)
-                extracted = verma_flag_extract(
-                    super_verma_char(wl, trunc, even_only=True), trunc
-                )
-                direct = restriction_flag(lam, w)
-                cases += 1
-                if extracted != direct and passed:
-                    passed = False
-                    detail = f"n={n} lambda={lam} w={w}: {extracted} != {direct}"
-    return CriterionResult(
-        4, "flag extraction matches direct restriction flag", passed, cases,
-        time.perf_counter() - t0, detail or "routes agree", budget=30,
-    )
+    for n, lam, w in _sweep(4, max_n, samples, seed, 1000):
+        wl = w.act(lam)
+        trunc = Truncation(wl, full_support_height(n))
+        got = verma_flag_extract(super_verma_char(wl, trunc, even_only=True), trunc)
+        want = restriction_flag(lam, w)
+        yield None if got == want else f"n={n} lambda={lam} w={w}: {got} != {want}"
 
 
-def check_multiset_identity(max_n: Optional[int] = None) -> CriterionResult:
+@_criterion(5, "subset-sum shift identity and defect coefficient", "identity holds")
+def check_multiset_identity(max_n: Optional[int] = None) -> _Problems:
     """Criterion 5: e^rho * P_w = e^{w(rho)} * P for every w, and the
     rho-defect of w carries subset-sum coefficient exactly 1."""
-    t0 = time.perf_counter()
-    cases = 0
-    detail = ""
-    passed = True
     for n in range(1, _cap(5, max_n) + 1):
         r = rho(n)
         p = subset_sum_P(n)
@@ -196,99 +188,50 @@ def check_multiset_identity(max_n: Optional[int] = None) -> CriterionResult:
         for w in all_perms(n):
             lhs = d_r * subset_sum_Pw(w)
             rhs = FormalCharacter.delta(w.act(r)) * p
-            cases += 1
-            if lhs != rhs and passed:
-                passed = False
-                detail = f"shift identity fails at n={n} w={w}"
+            yield None if lhs == rhs else f"shift identity fails at n={n} w={w}"
     for n in range(1, _cap(6, max_n) + 1):
         p = subset_sum_P(n)
         for w in all_perms(n):
-            cases += 1
-            if p.coefficient(rho_defect(w)) != 1 and passed:
-                passed = False
-                detail = f"defect coefficient != 1 at n={n} w={w}"
-    return CriterionResult(
-        5, "subset-sum shift identity and defect coefficient", passed, cases,
-        time.perf_counter() - t0, detail or "identity holds",
-    )
+            ok = p.coefficient(rho_defect(w)) == 1
+            yield None if ok else f"defect coefficient != 1 at n={n} w={w}"
 
 
-def check_mass_law(max_n: Optional[int] = None) -> CriterionResult:
+@_criterion(6, "subset-sum mass law and enumeration oracle", "masses and supports agree")
+def check_mass_law(max_n: Optional[int] = None) -> _Problems:
     """Criterion 6: total subset-sum mass is 2^(number of positive roots),
     and the convolution construction matches plain subset enumeration."""
-    t0 = time.perf_counter()
-    cases = 0
-    detail = ""
-    passed = True
     for n in range(1, _cap(6, max_n) + 1):
-        cases += 1
-        if subset_sum_P(n).mass() != 2 ** (n * (n - 1) // 2) and passed:
-            passed = False
-            detail = f"mass law fails at n={n}"
+        ok = subset_sum_P(n).mass() == 2 ** (n * (n - 1) // 2)
+        yield None if ok else f"mass law fails at n={n}"
     for n in range(1, _cap(4, max_n) + 1):
-        cases += 1
-        if subset_sum_P(n) != subset_sum_P_by_enumeration(n) and passed:
-            passed = False
-            detail = f"enumeration oracle disagrees at n={n}"
-    return CriterionResult(
-        6, "subset-sum mass law and enumeration oracle", passed, cases,
-        time.perf_counter() - t0, detail or "masses and supports agree",
-    )
+        ok = subset_sum_P(n) == subset_sum_P_by_enumeration(n)
+        yield None if ok else f"enumeration oracle disagrees at n={n}"
 
 
+@_criterion(7, "dominant weights top their orbits", "all below")
 def check_orbit_maximality(
     seed: int = DEFAULT_SEED, samples: int = 3, max_n: Optional[int] = None
-) -> CriterionResult:
+) -> _Problems:
     """Criterion 7: every plain-orbit point of a dominant weight lies below
     it in dominance order."""
-    t0 = time.perf_counter()
-    cases = 0
-    detail = ""
-    passed = True
-    for n in range(2, _cap(5, max_n) + 1):
-        for lam in sample_weights(n, samples, seed=seed + 41 * n):
-            for u in all_perms(n):
-                cases += 1
-                if not leq(u.act(lam), lam) and passed:
-                    passed = False
-                    detail = f"n={n} lambda={lam} u={u}"
-    return CriterionResult(
-        7, "dominant weights top their orbits", passed, cases,
-        time.perf_counter() - t0, detail or "all below",
-    )
+    for n, lam, u in _sweep(5, max_n, samples, seed, 41):
+        yield None if leq(u.act(lam), lam) else f"n={n} lambda={lam} u={u}"
 
 
-def check_thick_dim(max_n: Optional[int] = None) -> CriterionResult:
+@_criterion(8, "thick multiplicity against monomial oracle", "all counts agree")
+def check_thick_dim(max_n: Optional[int] = None) -> _Problems:
     """Criterion 8: thick-multiplicity values against the monomial-count
     oracle and the pinned small cases."""
-    t0 = time.perf_counter()
-    cases = 0
-    detail = ""
-    passed = True
 
     def monomials_below(n: int, r: int) -> int:
-        return sum(
-            1
-            for exps in itertools.product(range(r), repeat=n)
-            if sum(exps) < r
-        )
+        return sum(1 for e in itertools.product(range(r), repeat=n) if sum(e) < r)
 
     for n in range(1, _cap(3, max_n) + 1):
         for r in range(1, 6):
-            cases += 1
-            if thick_dim(n, r) != monomials_below(n, r) and passed:
-                passed = False
-                detail = f"oracle mismatch at n={n} r={r}"
-    pinned = [(4, 1, 1), (1, 5, 5), (2, 3, 6)]
-    for n, r, want in pinned:
-        cases += 1
-        if thick_dim(n, r) != want and passed:
-            passed = False
-            detail = f"thick_dim({n},{r}) != {want}"
-    return CriterionResult(
-        8, "thick multiplicity against monomial oracle", passed, cases,
-        time.perf_counter() - t0, detail or "all counts agree",
-    )
+            ok = thick_dim(n, r) == monomials_below(n, r)
+            yield None if ok else f"oracle mismatch at n={n} r={r}"
+    for n, r, want in [(4, 1, 1), (1, 5, 5), (2, 3, 6)]:
+        yield None if thick_dim(n, r) == want else f"thick_dim({n},{r}) != {want}"
 
 
 def _random_cone_element(rng: random.Random, n: int, top: int = 2) -> Weight:
@@ -467,38 +410,30 @@ def _property_extraction(rng: random.Random) -> Optional[str]:
     return None
 
 
+@_criterion(9, "randomized property suite", "no failures")
 def check_property_suite(
     seed: int = DEFAULT_SEED, cases_each: int = 1000
-) -> CriterionResult:
+) -> _Problems:
     """Criterion 9: randomized order axioms, action laws, defect identity,
     and extraction order-independence."""
-    t0 = time.perf_counter()
     families: list[tuple[str, Callable[[random.Random], Optional[str]]]] = [
         ("leq order axioms", _property_leq),
         ("group action laws", _property_actions),
         ("rho defect identity", _property_defect),
         ("extraction order independence", _property_extraction),
     ]
-    cases = 0
-    detail = ""
-    passed = True
     for offset, (name, fn) in enumerate(families):
         rng = random.Random(seed + 5000 * (offset + 1))
         for _ in range(cases_each):
-            cases += 1
             problem = fn(rng)
-            if problem and passed:
-                passed = False
-                detail = f"{name}: {problem}"
-    return CriterionResult(
-        9, "randomized property suite", passed, cases,
-        time.perf_counter() - t0, detail or "no failures",
-    )
+            yield f"{name}: {problem}" if problem else None
 
 
 def run_all(
     seed: int = DEFAULT_SEED, max_n: Optional[int] = None
 ) -> list[CriterionResult]:
+    # Each criterion is looked up by name at call time, so a wrapper set on
+    # the module attribute (as the benchmark's tracer does) sees the call.
     return [
         check_linkage(seed=seed, max_n=max_n),
         check_restriction_mult(seed=seed, max_n=max_n),

@@ -3,10 +3,13 @@
 import json
 import subprocess
 import sys
+import time
+import types
 
 import pytest
 
 import qblocks.cli as cli
+import qblocks.sampling as sampling
 from qblocks.cli import main
 
 
@@ -189,6 +192,31 @@ def test_zero_samples_exits_two(capsys, command):
     assert code == 2
     assert out == ""
     assert "--samples" in err
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+@pytest.mark.parametrize("command", ["linkage", "mult", "flag"])
+def test_workers_below_one_exits_two(capsys, command, workers):
+    code, out, err = run_cli(
+        [command, "--n", "3", "--samples", "1", "--workers", workers], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert "--workers" in err
+
+
+def test_impossible_sample_count_exits_two_at_once(capsys, monkeypatch):
+    # -7..7 holds only 84 admissible rank-2 weights: refuse before drawing.
+    def never(seed):
+        raise AssertionError("sampler drew before refusing")
+
+    monkeypatch.setattr(sampling, "random", types.SimpleNamespace(Random=never))
+    t0 = time.perf_counter()
+    code, out, err = run_cli(["linkage", "--n", "2", "--samples", "2000"], capsys)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    assert out == ""
+    assert "84 admissible" in err
 
 
 def test_rank_contradiction_exits_two(capsys):
