@@ -4,16 +4,23 @@ and multiplicity tables, with deterministic JSON or TSV output.
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource
 guard.  Identical arguments and seed produce byte-identical output.
 
+linkage, mult and flag share one sweep path, cmd_sweep; their subparsers
+carry what differs: the row builder, the verdict field and the TSV headers.
+
 Every command that enumerates a symmetric group checks its rank once, before
 it enumerates anything or builds a row, against QBLOCKS_MAX_RANK or, when
-that is unset, CLI_DEFAULT_MAX_RANK.
+that is unset, CLI_DEFAULT_MAX_RANK.  flag then refuses, as early, a
+truncation region of more than _MAX_FLAG_REGION points.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from bisect import bisect_right
+from math import comb
 from typing import Callable, Optional
 
 from qblocks.charring import Truncation, full_support_height, k_dim, super_verma_char
@@ -38,10 +45,32 @@ EXIT_GUARD = 3
 
 CLI_DEFAULT_MAX_RANK = 7
 
+# The n = 6 full-height flag region, C(40, 5) points: one w there takes
+# 8-13 s and 351 MB (2 cores, Python 3.11.7).
+_MAX_FLAG_REGION = comb(40, 5)
 
-def _resolve_sweep(args) -> tuple[int, list[Weight], list[Perm]]:
-    """Validate the arguments and apply the rank guard before sampling any
-    weight or enumerating any permutation."""
+
+def _flag_height(n: int, height: Optional[int]) -> int:
+    """flag's truncation height, refused when its region of
+    C(height + n - 1, n - 1) points exceeds _MAX_FLAG_REGION."""
+    bound = full_support_height(n) if height is None else height
+    if bound < 0:
+        raise ValueError(f"--height must be nonnegative, got {bound}")
+    points = comb(bound + n - 1, n - 1)
+    if points > _MAX_FLAG_REGION:
+        fits = bisect_right(
+            range(bound), _MAX_FLAG_REGION, key=lambda h: comb(h + n - 1, n - 1)
+        ) - 1
+        raise GuardError(
+            f"flag region at n = {n}, height {bound} has {points:,} points, "
+            f"more than {_MAX_FLAG_REGION:,}; use --height {fits:,} or less"
+        )
+    return bound
+
+
+def _resolve_sweep(args) -> tuple[int, dict, list[Weight], list[Perm]]:
+    """Validate the arguments, then apply the rank guard and flag's region guard
+    before sampling any weight.  The dict holds flag's height, fixed per sweep."""
     lam = lo = hi = None
     if args.workers < 1:
         raise ValueError(f"--workers must be at least 1, got {args.workers}")
@@ -57,39 +86,36 @@ def _resolve_sweep(args) -> tuple[int, list[Weight], list[Perm]]:
             # An empty sweep would check nothing and still report success.
             raise ValueError(f"--samples must be at least 1, got {args.samples}")
         if args.sample_range:
-            lo_text, sep, hi_text = args.sample_range.partition(":")
-            if not sep:
-                raise ValueError(f"--sample-range wants LO:HI, got {args.sample_range!r}")
-            lo, hi = int(lo_text), int(hi_text)
+            try:
+                lo, hi = map(int, args.sample_range.split(":"))
+            except ValueError:
+                raise ValueError(
+                    f"--sample-range wants LO:HI, got {args.sample_range!r}"
+                ) from None
         n = args.n
     w = None if args.w == "all" else Perm.parse(args.w)
     if w is not None and w.rank != n:
         raise ValueError(f"--w has rank {w.rank}, expected {n}")
     check_rank(n, CLI_DEFAULT_MAX_RANK)
+    fixed = {"height": _flag_height(n, args.height)} if args.command == "flag" else {}
     if lam is None:
         lams = sample_weights(n, args.samples, seed=args.seed, lo=lo, hi=hi)
     else:
         lams = [lam]
-    return n, lams, list(all_perms(n)) if w is None else [w]
+    return n, fixed, lams, list(all_perms(n)) if w is None else [w]
 
 
 def _map_rows(fn: Callable, payloads: list, workers: int) -> list:
-    if workers > 1:
+    # More processes than rows or cores would only sit idle.
+    procs = min(workers, len(payloads), os.cpu_count() or 1)
+    if procs > 1:
         # Imported here so serial runs never load multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
 
-        chunk = max(1, len(payloads) // (workers * 4))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        chunk = max(1, len(payloads) // (procs * 4))
+        with ProcessPoolExecutor(max_workers=procs) as pool:
             return list(pool.map(fn, payloads, chunksize=chunk))
     return [fn(p) for p in payloads]
-
-
-def _flag_json(flag: FlagMultiset, block_projected: int, k_expected: int) -> dict:
-    return {
-        "highest_weights": flag.to_json_entries(),
-        "block_projected": block_projected,
-        "k_expected": k_expected,
-    }
 
 
 def _tsv_cell(value) -> str:
@@ -106,25 +132,22 @@ def _emit(args, doc: dict, headers: list[str]) -> None:
     if args.format == "tsv":
         lines = ["\t".join(headers)]
         for row in doc["rows"]:
-            cells = []
-            for h in headers:
-                value = row[h] if h in row else row["flag"][h]
-                cells.append(_tsv_cell(value))
-            lines.append("\t".join(cells))
+            cells = (row[h] if h in row else row["flag"][h] for h in headers)
+            lines.append("\t".join(map(_tsv_cell, cells)))
         print("\n".join(lines))
     else:
         print(json.dumps(doc, indent=2))
 
 
-# Row builders live at module level so a worker pool can pickle them; the
-# payloads are plain strings and ints for the same reason.
+# Row builders live at module level so a worker pool can pickle them by name.
+# A payload is (Weight, Perm) followed by the document's fixed values.
 
 def _linkage_row(payload) -> dict:
-    lam_text, w_text = payload
-    rep = linkage_check(Weight.parse(lam_text), Perm.parse(w_text))
+    lam, w = payload
+    rep = linkage_check(lam, w)
     return {
-        "lambda": lam_text,
-        "w": w_text,
+        "lambda": str(lam),
+        "w": str(w),
         "intersection_plain": ";".join(str(x) for x in sorted(rep.intersection_plain)),
         "intersection_dot": ";".join(str(x) for x in sorted(rep.intersection_dot)),
         "offset": str(rep.offset),
@@ -134,8 +157,7 @@ def _linkage_row(payload) -> dict:
 
 
 def _mult_row(payload) -> dict:
-    lam_text, w_text = payload
-    lam, w = Weight.parse(lam_text), Perm.parse(w_text)
+    lam, w = payload
     n = lam.rank
     k = k_dim(n)
     raw_expected = 2 ** ((n - 1) - (n - 1) // 2)
@@ -144,9 +166,10 @@ def _mult_row(payload) -> dict:
     raw = ind_block_mult(lam, w)
     split = ind_block_mult_split(lam, w)
     return {
-        "lambda": lam_text,
-        "w": w_text,
-        "flag": _flag_json(flag, block, k),
+        "lambda": str(lam),
+        "w": str(w),
+        "flag": {"highest_weights": flag.to_json_entries(),
+                 "block_projected": block, "k_expected": k},
         "ind_raw": raw,
         "ind_split": split,
         "ok": block == k and split == k and raw == raw_expected,
@@ -154,18 +177,15 @@ def _mult_row(payload) -> dict:
 
 
 def _flag_row(payload) -> dict:
-    lam_text, w_text, bound = payload
-    lam, w = Weight.parse(lam_text), Perm.parse(w_text)
+    lam, w, bound = payload
     wl = w.act(lam)
     trunc = Truncation(wl, bound)
-    extracted = verma_flag_extract(
-        super_verma_char(wl, trunc, even_only=True), trunc
-    )
+    extracted = verma_flag_extract(super_verma_char(wl, trunc, even_only=True), trunc)
     full = restriction_flag(lam, w)
     direct = FlagMultiset((wt, m) for wt, m in full.items() if trunc.admits(wt))
     return {
-        "lambda": lam_text,
-        "w": w_text,
+        "lambda": str(lam),
+        "w": str(w),
         "height": bound,
         "extracted": extracted.to_json_entries(),
         "direct": direct.to_json_entries(),
@@ -205,61 +225,16 @@ def cmd_orbit(args) -> int:
     return EXIT_OK
 
 
-def cmd_linkage(args) -> int:
-    n, lams, perms = _resolve_sweep(args)
-    payloads = [(str(lam), str(w)) for lam in lams for w in perms]
-    rows = _map_rows(_linkage_row, payloads, args.workers)
-    passed = all(r["passed"] for r in rows)
-    doc = {
-        "command": "linkage",
-        "n": n,
-        "lambdas": [str(lam) for lam in lams],
-        "rows": rows,
-        "passed": passed,
-    }
-    _emit(args, doc, [
-        "lambda", "w", "intersection_plain", "intersection_dot",
-        "offset", "offset_multiplicity", "passed",
-    ])
-    return EXIT_OK if passed else EXIT_VERIFY
-
-
-def cmd_mult(args) -> int:
-    n, lams, perms = _resolve_sweep(args)
-    payloads = [(str(lam), str(w)) for lam in lams for w in perms]
-    rows = _map_rows(_mult_row, payloads, args.workers)
-    passed = all(r["ok"] for r in rows)
-    doc = {
-        "command": "mult",
-        "n": n,
-        "lambdas": [str(lam) for lam in lams],
-        "rows": rows,
-        "passed": passed,
-    }
-    _emit(args, doc, [
-        "lambda", "w", "flag", "block_projected", "k_expected",
-        "ind_raw", "ind_split", "ok",
-    ])
-    return EXIT_OK if passed else EXIT_VERIFY
-
-
-def cmd_flag(args) -> int:
-    n, lams, perms = _resolve_sweep(args)
-    bound = args.height if args.height is not None else full_support_height(n)
-    payloads = [(str(lam), str(w), bound) for lam in lams for w in perms]
-    rows = _map_rows(_flag_row, payloads, args.workers)
-    passed = all(r["match"] for r in rows)
-    doc = {
-        "command": "flag",
-        "n": n,
-        "height": bound,
-        "lambdas": [str(lam) for lam in lams],
-        "rows": rows,
-        "passed": passed,
-    }
-    _emit(args, doc, [
-        "lambda", "w", "height", "extracted", "direct", "match",
-    ])
+def cmd_sweep(args) -> int:
+    """linkage, mult and flag: one row per (weight, permutation) pair, and
+    exit 1 unless every row's verdict field holds."""
+    n, fixed, lams, perms = _resolve_sweep(args)
+    payloads = [(lam, w, *fixed.values()) for lam in lams for w in perms]
+    rows = _map_rows(args.row, payloads, args.workers)
+    passed = all(r[args.verdict] for r in rows)
+    doc = {"command": args.command, "n": n, **fixed,
+           "lambdas": [str(lam) for lam in lams], "rows": rows, "passed": passed}
+    _emit(args, doc, args.headers)
     return EXIT_OK if passed else EXIT_VERIFY
 
 
@@ -277,7 +252,7 @@ def cmd_selftest(args) -> int:
     return EXIT_OK if good == len(results) else EXIT_VERIFY
 
 
-def _add_common(sp, height: bool = False) -> None:
+def _add_common(sp, height: bool) -> None:
     sp.add_argument("--n", type=int, help="rank; required when sampling")
     sp.add_argument(
         "--lambda", dest="lam",
@@ -321,23 +296,20 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--format", choices=("json", "tsv"), default="json")
     o.set_defaults(func=cmd_orbit)
 
-    l = sub.add_parser(
-        "linkage", help="orbit-intersection uniqueness check per permutation"
-    )
-    _add_common(l)
-    l.set_defaults(func=cmd_linkage)
-
-    m = sub.add_parser(
-        "mult", help="restriction and induction multiplicity table"
-    )
-    _add_common(m)
-    m.set_defaults(func=cmd_mult)
-
-    f = sub.add_parser(
-        "flag", help="flag extraction by division diffed against the direct route"
-    )
-    _add_common(f, height=True)
-    f.set_defaults(func=cmd_flag)
+    # Built per call, not at import, so a patched row builder is the one used.
+    for name, help_text, row, verdict, headers in (
+        ("linkage", "orbit-intersection uniqueness check per permutation",
+         _linkage_row, "passed", ["lambda", "w", "intersection_plain",
+         "intersection_dot", "offset", "offset_multiplicity", "passed"]),
+        ("mult", "restriction and induction multiplicity table", _mult_row, "ok",
+         ["lambda", "w", "flag", "block_projected", "k_expected", "ind_raw",
+          "ind_split", "ok"]),
+        ("flag", "flag extraction by division diffed against the direct route",
+         _flag_row, "match", ["lambda", "w", "height", "extracted", "direct", "match"]),
+    ):
+        sp = sub.add_parser(name, help=help_text)
+        _add_common(sp, height=name == "flag")
+        sp.set_defaults(func=cmd_sweep, row=row, verdict=verdict, headers=headers)
 
     s = sub.add_parser("selftest", help="run the acceptance criteria")
     s.add_argument("--seed", type=int, default=DEFAULT_SEED)

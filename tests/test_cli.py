@@ -1,6 +1,8 @@
 """Exit codes, output formats, and determinism of the command-line front end."""
 
 import json
+import multiprocessing.process
+import os
 import subprocess
 import sys
 import time
@@ -8,9 +10,11 @@ import types
 
 import pytest
 
+import qblocks.charring as charring
 import qblocks.cli as cli
 import qblocks.sampling as sampling
 from qblocks.cli import main
+from qblocks.weyl import GuardError
 
 
 def run_cli(argv, capsys):
@@ -304,3 +308,225 @@ def test_console_script_installed():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["rows"][0]["strongly_typical"] is True
+
+
+# Exact bytes of the three sweep commands at n = 2.  The tests above check
+# structure; these pin key order, indentation, cell formats and headers.
+
+LINKAGE_TSV_N2 = """\
+lambda\tw\tintersection_plain\tintersection_dot\toffset\toffset_multiplicity\tpassed
+3,1\t1 2\t3,1\t3,1\t0,0\t1\ttrue
+3,1\t2 1\t1,3\t0,4\t1,-1\t1\ttrue
+"""
+
+MULT_JSON_N2 = """\
+{
+  "command": "mult",
+  "n": 2,
+  "lambdas": [
+    "3,1"
+  ],
+  "rows": [
+    {
+      "lambda": "3,1",
+      "w": "2 1",
+      "flag": {
+        "highest_weights": [
+          {
+            "weight": "0,4",
+            "mult": 1
+          },
+          {
+            "weight": "1,3",
+            "mult": 1
+          }
+        ],
+        "block_projected": 1,
+        "k_expected": 1
+      },
+      "ind_raw": 2,
+      "ind_split": 1,
+      "ok": true
+    }
+  ],
+  "passed": true
+}
+"""
+
+
+FLAG_JSON_N2 = """\
+{
+  "command": "flag",
+  "n": 2,
+  "height": 1,
+  "lambdas": [
+    "3,1"
+  ],
+  "rows": [
+    {
+      "lambda": "3,1",
+      "w": "1 2",
+      "height": 1,
+      "extracted": [
+        {
+          "weight": "2,2",
+          "mult": 1
+        },
+        {
+          "weight": "3,1",
+          "mult": 1
+        }
+      ],
+      "direct": [
+        {
+          "weight": "2,2",
+          "mult": 1
+        },
+        {
+          "weight": "3,1",
+          "mult": 1
+        }
+      ],
+      "match": true
+    },
+    {
+      "lambda": "3,1",
+      "w": "2 1",
+      "height": 1,
+      "extracted": [
+        {
+          "weight": "0,4",
+          "mult": 1
+        },
+        {
+          "weight": "1,3",
+          "mult": 1
+        }
+      ],
+      "direct": [
+        {
+          "weight": "0,4",
+          "mult": 1
+        },
+        {
+          "weight": "1,3",
+          "mult": 1
+        }
+      ],
+      "match": true
+    }
+  ],
+  "passed": true
+}
+"""
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["linkage", "--lambda", "3,1", "--w", "all", "--format", "tsv"], LINKAGE_TSV_N2),
+    (["mult", "--lambda", "3,1", "--w", "2 1"], MULT_JSON_N2),
+    (["flag", "--lambda", "3,1", "--w", "all"], FLAG_JSON_N2),
+])
+def test_sweep_output_bytes(capsys, argv, expected):
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out, err) == (0, expected, "")
+
+
+@pytest.mark.parametrize("argv, fits", [
+    (["--lambda", "3,1", "--w", "1 2", "--height", "1000000000000"], "658,007"),
+    (["--n", "7", "--lambda=13,9,6,4,2,-7,-11", "--w", "2 4 3 1 6 5 7"], "24"),
+])
+def test_flag_region_guard_exits_three(capsys, argv, fits):
+    t0 = time.perf_counter()
+    code, out, err = run_cli(["flag"] + argv, capsys)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 3
+    assert out == ""
+    assert f"--height {fits} or less" in err
+
+
+def test_flag_region_guard_refuses_before_sampling(capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("sample_weights called before the region guard")
+
+    monkeypatch.setattr(cli, "sample_weights", never)
+    code, out, err = run_cli(["flag", "--n", "7", "--samples", "100000"], capsys)
+    assert code == 3
+    assert out == ""
+    assert "--height 24 or less" in err
+
+
+@pytest.mark.parametrize("n, fits", [(2, 658007), (3, 1145), (6, 35), (7, 24)])
+def test_flag_height_guard_boundary(n, fits):
+    # n = 6 at full height, 35, is exactly the cap, so it still runs.
+    assert cli._flag_height(n, fits) == fits
+    with pytest.raises(GuardError, match=f"--height {fits:,} or less"):
+        cli._flag_height(n, fits + 1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("height", [0, 1, 4, 9])
+def test_flag_region_counts_offset_table_points(monkeypatch, n, height):
+    # With no room left every region is refused, and the refusal names the
+    # guard's count, which must be the size of the table flag would build.
+    monkeypatch.setattr(cli, "_MAX_FLAG_REGION", 0)
+    with pytest.raises(GuardError) as refused:
+        cli._flag_height(n, height)
+    points = len(charring._offset_table(n, height, True))
+    assert f"has {points:,} points" in str(refused.value)
+
+
+def test_negative_height_exits_two(capsys):
+    code, out, err = run_cli(
+        ["flag", "--lambda", "3,1", "--w", "1 2", "--height", "-1"], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert "--height" in err
+
+
+@pytest.mark.parametrize("text", ["a:b", "1:", "3", "1:2:3"])
+def test_bad_sample_range_exits_two_naming_it(capsys, text):
+    code, out, err = run_cli(
+        ["linkage", "--n", "3", "--sample-range", text], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert "--sample-range" in err and repr(text) in err
+
+
+@pytest.fixture
+def process_starts(monkeypatch):
+    starts = []
+    real = multiprocessing.process.BaseProcess.start
+
+    def counting(self):
+        starts.append(self)
+        real(self)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counting)
+    return starts
+
+
+def test_worker_pool_sized_by_rows(capsys, process_starts):
+    # One row needs no pool, whatever --workers asks for.
+    serial = ["mult", "--lambda", "3,1", "--w", "2 1"]
+    code1, out1, _ = run_cli(serial, capsys)
+    code2, out2, _ = run_cli(serial + ["--workers", "6"], capsys)
+    assert code1 == code2 == 0
+    assert out1 == out2
+    assert process_starts == []
+
+
+def test_worker_pool_sized_by_cores(capsys, monkeypatch, process_starts):
+    serial = ["mult", "--lambda", "5,2,1", "--w", "all"]
+    code1, out1, _ = run_cli(serial, capsys)
+    code2, out2, _ = run_cli(serial + ["--workers", "6"], capsys)
+    assert code1 == code2 == 0
+    assert out1 == out2
+    procs = min(6, os.cpu_count() or 1)
+    assert len(process_starts) == (procs if procs > 1 else 0)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
+    del process_starts[:]
+    code3, out3, _ = run_cli(serial + ["--workers", "6"], capsys)
+    assert (code3, out3) == (0, out1)
+    assert process_starts == []
