@@ -4,8 +4,11 @@ A FormalCharacter is a finitely supported Weight -> int map with convolution
 product.  The heavy builders (subset-sum multisets of positive roots and
 truncated Verma and super-Verma offsets) run on packed integer keys through
 the kernels in qblocks.kernels._pykernels.  The offset tables are cached as
-the kernels' packed dicts, and _Packing.weight_below and key_below are the
-only conversions between a region's keys and its weights.
+the kernels' packed dicts.  A Verma or super-Verma character keeps its table
+packed and builds its Weight-keyed terms only when something first reads
+them; _packed_offsets hands the table itself to flag extraction.  The key
+format stays behind _Packing, whose weight_below and key_below convert
+between a region's keys and its weights.
 """
 
 from __future__ import annotations
@@ -328,17 +331,67 @@ def _offset_table(n: int, bound: int, super_blocks: bool) -> Mapping[int, int]:
     return MappingProxyType(geometric_product(start, roots, bound, pk.hshift))
 
 
+class _PackedCharacter(FormalCharacter):
+    """The character factor * sum of c e^(base - offset) over a cached
+    offset table, whose keys are _Packing(rank, bound) keys.
+
+    The _terms slot stays unset until something first reads it; __getattr__
+    then builds the Weight-keyed terms once.  len() and bool() answer from
+    the table, which has no zero coefficients.
+    """
+
+    __slots__ = ("_table", "_base", "_bound", "_factor")
+
+    def __init__(self, base: Weight, bound: int, table: Mapping[int, int], factor: int):
+        self.rank = base.rank
+        self._table = table
+        self._base = base
+        self._bound = bound
+        self._factor = factor
+
+    def __getattr__(self, name: str):
+        if name != "_terms":
+            raise AttributeError(name)
+        pk = _Packing(self.rank, self._bound)
+        base, factor = self._base, self._factor
+        terms = {pk.weight_below(base, k): factor * c for k, c in self._table.items()}
+        self._terms = terms
+        return terms
+
+    def __len__(self) -> int:
+        return len(self._table)
+
+    def __bool__(self) -> bool:
+        return bool(self._table)
+
+    def __reduce__(self):
+        # The cached table is a read-only proxy, which cannot be pickled.
+        return FormalCharacter, (self.rank, self._terms)
+
+
+def _packed_offsets(
+    char: FormalCharacter, trunc: Truncation
+) -> Optional[tuple[Mapping[int, int], int]]:
+    """The read-only offset table and scale factor behind a packed character
+    whose base and bound are trunc's, so that its keys are the
+    _Packing(rank, trunc.bound) keys of trunc.base minus its weights; None
+    for any other character."""
+    if (
+        isinstance(char, _PackedCharacter)
+        and char._base == trunc.base
+        and char._bound == trunc.bound
+    ):
+        return char._table, char._factor
+    return None
+
+
 def _offsets_to_char(
     mu: Weight, trunc: Truncation, super_blocks: bool, factor: int = 1
 ) -> FormalCharacter:
     if trunc.base != mu:
         raise ValueError(f"truncation base {trunc.base} does not match {mu}")
-    n = mu.rank
-    pk = _Packing(n, trunc.bound)
-    table = _offset_table(n, trunc.bound, super_blocks)
-    return FormalCharacter(
-        n, ((pk.weight_below(mu, k), factor * c) for k, c in table.items())
-    )
+    table = _offset_table(mu.rank, trunc.bound, super_blocks)
+    return _PackedCharacter(mu, trunc.bound, table, factor)
 
 
 def verma_char(mu: Weight, trunc: Truncation) -> FormalCharacter:
@@ -346,7 +399,9 @@ def verma_char(mu: Weight, trunc: Truncation) -> FormalCharacter:
     (1 + e^{-alpha} + e^{-2 alpha} + ...).
 
     The coefficient at mu - nu counts the ways to write nu as a nonnegative
-    integer combination of positive roots.
+    integer combination of positive roots.  The character keeps the cached
+    packed offset table and builds its Weight-keyed terms only when they are
+    first read; len() and bool() build none.
     """
     return _offsets_to_char(mu, trunc, False)
 
@@ -358,7 +413,9 @@ def super_verma_char(
 
     The full character is 2 * k_dim(n) * e^mu * ext_neg * (Verma denominator);
     with even_only the leading factor drops to k_dim(n), the per-parity
-    dimension of the top Clifford module.
+    dimension of the top Clifford module.  As with verma_char, the terms are
+    built from the cached packed offset table only when they are first read,
+    and filtration.verma_flag_extract divides the table without building them.
     """
     factor = k_dim(mu.rank) if even_only else 2 * k_dim(mu.rank)
     return _offsets_to_char(mu, trunc, True, factor)

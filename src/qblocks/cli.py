@@ -46,7 +46,7 @@ EXIT_GUARD = 3
 CLI_DEFAULT_MAX_RANK = 7
 
 # The n = 6 full-height flag region, C(40, 5) points: one w there takes
-# 8-13 s and 351 MB (2 cores, Python 3.11.7).
+# 7.4-7.5 s and 170 MB (2 cores, Python 3.11.7).
 _MAX_FLAG_REGION = comb(40, 5)
 
 

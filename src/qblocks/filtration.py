@@ -14,6 +14,7 @@ from qblocks.charring import (
     FormalCharacter,
     Truncation,
     _Packing,
+    _packed_offsets,
     k_dim,
     subset_sum_P,
 )
@@ -226,11 +227,13 @@ def verma_flag_extract(
     character by prod (1 - e^{-alpha}), and for super blocks dividing by P,
     gives the flag exactly within the region (times k_dim(n) for super
     blocks).  The products run on packed keys of base - weight, one sweep per
-    positive root.  A negative quotient coefficient, or one not divisible by
-    the block's top coefficient, means the input is not a flag character
-    within the region.  The error raised is the one at the largest such
-    weight in lexicographic order, which is the first that the greedy peel
-    in selftest._peel_extract, the test oracle, meets.
+    positive root; a verma_char or super_verma_char built on trunc itself is
+    divided straight from its packed offset table, with no Weight built.  A
+    negative quotient coefficient, or one not divisible by the block's top
+    coefficient, means the input is not a flag character within the region.
+    The error raised is the one at the largest such weight in lexicographic
+    order, which is the first that the greedy peel in selftest._peel_extract,
+    the test oracle, meets.
     """
     n = char.rank
     if trunc.base.rank != n:
@@ -239,19 +242,28 @@ def verma_flag_extract(
     base = trunc.base
     pk = _Packing(n, trunc.bound)
 
-    acc: dict[int, int] = {}
-    for wt, c in char.items():
-        key = pk.key_below(base, wt)
-        if key is None:
-            raise FlagExtractionError(
-                f"character term at {wt} lies outside the truncation region"
-            )
-        acc[key] = c
+    # A Verma or super-Verma character on this very region hands over its
+    # packed offset table; the products are linear, so its scale factor is
+    # applied to the quotient.  Any other character is packed term by term.
+    packed = _packed_offsets(char, trunc)
+    if packed is None:
+        terms: dict[int, int] = {}
+        for wt, c in char.items():
+            key = pk.key_below(base, wt)
+            if key is None:
+                raise FlagExtractionError(
+                    f"character term at {wt} lies outside the truncation region"
+                )
+            terms[key] = c
+        packed = terms, 1
+    acc, factor = packed
 
     roots = pk.packed_positive_roots()
     acc = binomial_product(acc, roots, pk.bound, pk.hshift, sign=-1)
     if super_blocks:
         acc = geometric_product(acc, roots, pk.bound, pk.hshift, sign=-1)
+    if factor != 1:
+        acc = {k: factor * c for k, c in acc.items()}
 
     bad = [
         (pk.weight_below(base, k), c) for k, c in acc.items() if c < 0 or c % divisor

@@ -2,6 +2,7 @@
 highest-weight characters, each checked against naive expansions."""
 
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
@@ -362,3 +363,74 @@ def test_thick_dim_counts_monomials(n, r):
         if sum(degrees) < r
     )
     assert thick_dim(n, r) == count
+
+
+PACKED_BUILDERS = {
+    "verma": verma_char,
+    "super": super_verma_char,
+    "super-even": lambda mu, t: super_verma_char(mu, t, even_only=True),
+}
+
+
+@pytest.fixture
+def weight_inits(monkeypatch):
+    """A one-item list counting Weight constructions during the test."""
+    count = [0]
+    init = Weight.__init__
+
+    def counting_init(self, coords):
+        count[0] += 1
+        init(self, coords)
+
+    monkeypatch.setattr(Weight, "__init__", counting_init)
+    return count
+
+
+@pytest.mark.parametrize("build", PACKED_BUILDERS.values(), ids=PACKED_BUILDERS)
+@pytest.mark.parametrize("coords,bound", [("5,2,1", 4), ("7/2,3/2,-1/2,-5/2", 3)])
+def test_packed_character_matches_eager_copy(build, coords, bound):
+    # Each read starts from a fresh packed character, so each one is the
+    # first to need the terms.
+    mu = wt(coords)
+    n = mu.rank
+    t = Truncation(mu, bound)
+
+    def fresh():
+        return build(mu, t)
+
+    eager = FormalCharacter(n, fresh().items())
+    probe = FormalCharacter(n, {Weight.zero(n): 2, -mu: -1})
+    assert fresh() == eager and eager == fresh() and fresh() == fresh()
+    assert fresh() != eager.scale(2)
+    assert sorted(fresh().items()) == sorted(eager.items())
+    assert fresh().sorted_items() == eager.sorted_items()
+    for w, c in eager.items():
+        assert fresh().coefficient(w) == c
+    assert fresh().coefficient(mu + mu) == 0
+    assert fresh().scale(3) == eager.scale(3) and fresh().scale(0) == eager.scale(0)
+    assert fresh() + eager == eager + fresh() == eager.scale(2) == fresh() + fresh()
+    assert fresh() - eager == FormalCharacter.zero(n)
+    assert fresh() * probe == eager * probe == probe * fresh()
+    assert repr(fresh()) == repr(eager)
+    assert fresh().to_json_entries() == eager.to_json_entries()
+    assert fresh().mass() == eager.mass() and fresh().support() == eager.support()
+    assert len(fresh()) == len(eager) and bool(fresh()) and bool(eager)
+    assert pickle.loads(pickle.dumps(fresh())) == eager
+
+
+@pytest.mark.parametrize("build", PACKED_BUILDERS.values(), ids=PACKED_BUILDERS)
+def test_packed_character_builds_terms_once_on_first_read(build, weight_inits):
+    mu = wt("7,4,2,1")
+    ch = build(mu, Truncation(mu, 6))
+    weight_inits[0] = 0
+    size = len(ch)
+    assert size > 1 and bool(ch)
+    assert weight_inits[0] == 0
+    first = ch.sorted_items()
+    assert weight_inits[0] == size == len(first)
+    for _ in range(3):
+        assert ch.sorted_items() == first
+        assert dict(ch.items()) == dict(first)
+        assert ch.coefficient(mu) == dict(first)[mu]
+        assert len(ch) == size
+    assert weight_inits[0] == size

@@ -310,3 +310,70 @@ def test_division_matches_peel_oracle():
     # 3 characters, plain and super blocks.
     assert cases == 744
     assert errors == {"negative", "coefficient"}
+
+
+def _terms_built(ch):
+    # object.__getattribute__ reads the slot without the lazy fill.
+    try:
+        object.__getattribute__(ch, "_terms")
+    except AttributeError:
+        return False
+    return True
+
+
+PACKED_LAMBDAS = {1: "2", **DIFFERENTIAL_LAMBDAS}
+
+
+def test_packed_route_matches_eager_copy():
+    # verma_char and super_verma_char hand extraction their packed offset
+    # table; an eager copy of the same terms takes the key_below route.
+    # Both must give the same multiset or fail with the same message.
+    cases = 0
+    errors = set()
+    for n, coords in PACKED_LAMBDAS.items():
+        H = full_support_height(n)
+        lam = wt(coords)
+        for w in all_perms(n):
+            wl = w.act(lam)
+            for bound in sorted({0, 1, H, H + 2}):
+                t = Truncation(wl, bound)
+                for build in (
+                    lambda: super_verma_char(wl, t, even_only=True),
+                    lambda: verma_char(wl, t),
+                ):
+                    for super_blocks in (False, True):
+                        ch = build()
+                        got = _outcome(verma_flag_extract, ch, t, super_blocks)
+                        assert not _terms_built(ch), (n, w, bound, super_blocks)
+                        eager = FormalCharacter(n, ch.items())
+                        want = _outcome(verma_flag_extract, eager, t, super_blocks)
+                        assert got == want, (n, w, bound, super_blocks)
+                        if isinstance(want, tuple):
+                            errors.add(want[1].split(" ")[0])
+                        cases += 1
+    # 33 (n, w) pairs: the rank-1 pair has 3 distinct heights, every other
+    # pair 4 except at n = 2 (H = 1, so 3); 2 characters, plain and super.
+    assert cases == 4 * (1 * 3 + 2 * 3 + 6 * 4 + 24 * 4)
+    # A plain Verma character divided by P fails both ways.
+    assert errors == {"negative", "coefficient"}
+
+
+@pytest.mark.parametrize("n,coords", sorted(DIFFERENTIAL_LAMBDAS.items()))
+def test_packed_character_on_another_region_takes_key_below_route(n, coords):
+    # Another base or bound than the character's own: its terms are packed
+    # one by one, and those outside the region raise the region error.
+    lam = wt(coords)
+    H = full_support_height(n)
+    step = weight_from_simple_coefficients(n, (1,) + (0,) * (n - 2))
+    regions = (
+        Truncation(lam, H - 1),
+        Truncation(lam + step, H),
+        Truncation(lam - step, H),
+    )
+    for build in (super_verma_char, verma_char):
+        for t in regions:
+            ch = build(lam, Truncation(lam, H))
+            got = _outcome(verma_flag_extract, ch, t, False)
+            eager = FormalCharacter(n, ch.items())
+            assert got == _outcome(verma_flag_extract, eager, t, False)
+            assert "outside the truncation region" in got[1]
