@@ -6,7 +6,8 @@ truncated Verma and super-Verma offsets) run on packed integer keys through
 the kernels in qblocks.kernels._pykernels.  The offset tables are cached as
 the kernels' packed dicts.  A Verma or super-Verma character keeps its table
 packed and builds its Weight-keyed terms only when something first reads
-them; _packed_offsets hands the table itself to flag extraction.  The key
+them; _packed_offsets tells flag extraction which cached table a character
+scales, so the division can start from the table itself.  The key
 format stays behind _Packing, whose weight_below and key_below convert
 between a region's keys and its weights.
 """
@@ -15,10 +16,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Union
 
 from qblocks.kernels._pykernels import binomial_product, geometric_product
 from qblocks.lattice import Weight, positive_roots, weight_from_simple_coefficients
@@ -183,16 +183,20 @@ class FormalCharacter:
         return f"FormalCharacter({self.rank}, {{{body}}})"
 
 
-@dataclass(frozen=True)
-class Truncation:
-    """The region {base - nu : nu in the positive cone, height(nu) <= bound}."""
-
+class _Region(NamedTuple):
     base: Weight
     bound: int
 
-    def __post_init__(self):
-        if not isinstance(self.bound, int) or self.bound < 0:
-            raise ValueError(f"truncation bound must be a nonnegative int: {self.bound!r}")
+
+class Truncation(_Region):
+    """The region {base - nu : nu in the positive cone, height(nu) <= bound}."""
+
+    __slots__ = ()
+
+    def __new__(cls, base: Weight, bound: int):
+        if not isinstance(bound, int) or bound < 0:
+            raise ValueError(f"truncation bound must be a nonnegative int: {bound!r}")
+        return super().__new__(cls, base, bound)
 
     def admits(self, w: Weight) -> bool:
         return _Packing(self.base.rank, self.bound).key_below(self.base, w) is not None
@@ -322,31 +326,40 @@ def _offset_table(n: int, bound: int, super_blocks: bool) -> Mapping[int, int]:
     """Packed offsets of the Verma block prod (1 - x^alpha)^-1, or with
     super_blocks of P times it: one geometric pass per positive root, the
     Kostant partition recurrence.  Every caller shares the cached table, so
-    it is handed out read-only."""
+    it is handed out read-only.
+
+    The truncated factors commute, so the table does not depend on the
+    order of the passes.  They run tallest root first: a tall root has few
+    multiples below the bound, so the support grows densest only in the
+    last passes, over the simple roots."""
     pk = _Packing(n, bound)
     roots = pk.packed_positive_roots()
     start = {0: 1}
     if super_blocks:
         start = binomial_product(start, roots, bound, pk.hshift)
-    return MappingProxyType(geometric_product(start, roots, bound, pk.hshift))
+    # The height is a key's top digit, so descending keys put tall roots first.
+    tallest_first = sorted(roots, reverse=True)
+    return MappingProxyType(geometric_product(start, tallest_first, bound, pk.hshift))
 
 
 class _PackedCharacter(FormalCharacter):
-    """The character factor * sum of c e^(base - offset) over a cached
-    offset table, whose keys are _Packing(rank, bound) keys.
+    """The character factor * sum of c e^(base - offset) over the cached
+    offset table _offset_table(rank, bound, super_table), whose keys are
+    _Packing(rank, bound) keys.
 
     The _terms slot stays unset until something first reads it; __getattr__
     then builds the Weight-keyed terms once.  len() and bool() answer from
     the table, which has no zero coefficients.
     """
 
-    __slots__ = ("_table", "_base", "_bound", "_factor")
+    __slots__ = ("_table", "_base", "_bound", "_super_table", "_factor")
 
-    def __init__(self, base: Weight, bound: int, table: Mapping[int, int], factor: int):
+    def __init__(self, base: Weight, bound: int, super_table: bool, factor: int):
         self.rank = base.rank
-        self._table = table
+        self._table = _offset_table(base.rank, bound, super_table)
         self._base = base
         self._bound = bound
+        self._super_table = super_table
         self._factor = factor
 
     def __getattr__(self, name: str):
@@ -371,17 +384,17 @@ class _PackedCharacter(FormalCharacter):
 
 def _packed_offsets(
     char: FormalCharacter, trunc: Truncation
-) -> Optional[tuple[Mapping[int, int], int]]:
-    """The read-only offset table and scale factor behind a packed character
-    whose base and bound are trunc's, so that its keys are the
-    _Packing(rank, trunc.bound) keys of trunc.base minus its weights; None
-    for any other character."""
+) -> Optional[tuple[bool, int]]:
+    """(super_table, factor) of a packed character whose base and bound are
+    trunc's: the character is factor times _offset_table(rank, trunc.bound,
+    super_table), keyed by the _Packing(rank, trunc.bound) keys of
+    trunc.base minus its weights.  None for any other character."""
     if (
         isinstance(char, _PackedCharacter)
         and char._base == trunc.base
         and char._bound == trunc.bound
     ):
-        return char._table, char._factor
+        return char._super_table, char._factor
     return None
 
 
@@ -390,8 +403,7 @@ def _offsets_to_char(
 ) -> FormalCharacter:
     if trunc.base != mu:
         raise ValueError(f"truncation base {trunc.base} does not match {mu}")
-    table = _offset_table(mu.rank, trunc.bound, super_blocks)
-    return _PackedCharacter(mu, trunc.bound, table, factor)
+    return _PackedCharacter(mu, trunc.bound, super_blocks, factor)
 
 
 def verma_char(mu: Weight, trunc: Truncation) -> FormalCharacter:

@@ -5,15 +5,16 @@ an independent route to the restriction flag."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import sub
-from typing import Iterable, Mapping, Union
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple, Union
 
 from qblocks.charring import (
     FormalCharacter,
     Truncation,
     _Packing,
+    _offset_table,
     _packed_offsets,
     k_dim,
     subset_sum_P,
@@ -112,8 +113,7 @@ def _dot_orbit_ints(lam: Weight) -> frozenset[tuple[int, ...]]:
     return frozenset(w.as_integers() for w in dot_orbit(lam))
 
 
-@dataclass(frozen=True)
-class LinkageReport:
+class LinkageReport(NamedTuple):
     """Outcome of the two orbit-intersection checks for one (lam, w) pair.
 
     offset is w(lam) - w.lam, which must be the only point where the shifted
@@ -215,6 +215,31 @@ def ind_block_mult_split(lam: Weight, w: Perm) -> int:
     return raw
 
 
+def _divide(acc: Mapping[int, int], pk: _Packing, super_blocks: bool) -> dict[int, int]:
+    """acc times prod over positive alpha of (1 - x^alpha), and for super
+    blocks divided by P = prod (1 + x^alpha), truncated to pk's bound: one
+    packed-key sweep per positive root.  The truncated factors commute, so
+    any root order gives the same quotient; simple roots go first because
+    each of their factors cancels one factor of a Verma block's
+    denominator outright, so the support shrinks fastest."""
+    roots = sorted(pk.packed_positive_roots())
+    acc = binomial_product(acc, roots, pk.bound, pk.hshift, sign=-1)
+    if super_blocks:
+        acc = geometric_product(acc, roots, pk.bound, pk.hshift, sign=-1)
+    return acc
+
+
+@lru_cache(maxsize=None)
+def _table_quotient(
+    n: int, bound: int, super_table: bool, super_blocks: bool
+) -> Mapping[int, int]:
+    """_divide of the offset table _offset_table(n, bound, super_table).
+    Regions are translation-invariant, so one quotient serves every base;
+    it is shared, so it is handed out read-only."""
+    table = _offset_table(n, bound, super_table)
+    return MappingProxyType(_divide(table, _Packing(n, bound), super_blocks))
+
+
 def verma_flag_extract(
     char: FormalCharacter, trunc: Truncation, super_blocks: bool = False
 ) -> FlagMultiset:
@@ -227,9 +252,10 @@ def verma_flag_extract(
     character by prod (1 - e^{-alpha}), and for super blocks dividing by P,
     gives the flag exactly within the region (times k_dim(n) for super
     blocks).  The products run on packed keys of base - weight, one sweep per
-    positive root; a verma_char or super_verma_char built on trunc itself is
-    divided straight from its packed offset table, with no Weight built.  A
-    negative quotient coefficient, or one not divisible by the block's top
+    positive root.  A verma_char or super_verma_char built on trunc itself is
+    a scaled offset table; its quotient is divided once per (rank, bound,
+    table, block kind), cached, and scaled per call, with no Weight built.
+    A negative quotient coefficient, or one not divisible by the block's top
     coefficient, means the input is not a flag character within the region.
     The error raised is the one at the largest such weight in lexicographic
     order, which is the first that the greedy peel in selftest._peel_extract,
@@ -242,9 +268,9 @@ def verma_flag_extract(
     base = trunc.base
     pk = _Packing(n, trunc.bound)
 
-    # A Verma or super-Verma character on this very region hands over its
-    # packed offset table; the products are linear, so its scale factor is
-    # applied to the quotient.  Any other character is packed term by term.
+    # The products are linear, so a packed character's scale factor is
+    # applied to the cached quotient of its table.  Any other character is
+    # packed term by term and divided here.
     packed = _packed_offsets(char, trunc)
     if packed is None:
         terms: dict[int, int] = {}
@@ -255,15 +281,12 @@ def verma_flag_extract(
                     f"character term at {wt} lies outside the truncation region"
                 )
             terms[key] = c
-        packed = terms, 1
-    acc, factor = packed
-
-    roots = pk.packed_positive_roots()
-    acc = binomial_product(acc, roots, pk.bound, pk.hshift, sign=-1)
-    if super_blocks:
-        acc = geometric_product(acc, roots, pk.bound, pk.hshift, sign=-1)
-    if factor != 1:
-        acc = {k: factor * c for k, c in acc.items()}
+        acc: Mapping[int, int] = _divide(terms, pk, super_blocks)
+    else:
+        super_table, factor = packed
+        acc = _table_quotient(n, trunc.bound, super_table, super_blocks)
+        if factor != 1:
+            acc = {k: factor * c for k, c in acc.items()}
 
     bad = [
         (pk.weight_below(base, k), c) for k, c in acc.items() if c < 0 or c % divisor

@@ -2,12 +2,22 @@
 
 A key encodes a vector of nonnegative simple-root coefficients in fixed-width
 digits, with the coefficient sum (the height) stored in the top digit.  Key
-addition is then vector addition, and the height test is a single shift.
-Callers guarantee:
+addition is then vector addition, and a key has height <= h exactly when it
+is below (h + 1) << hshift, so the height test is one comparison.  Callers
+guarantee:
 
   - every digit of every valid key is <= bound < 2**shift - 1,
-  - heights are compared before keys are added, so no digit ever overflows,
   - step vectors have digits <= 1.
+
+binomial_product tests a key's height before adding a step.
+geometric_product adds first, but only to valid keys, so each digit of the
+sum is at most bound + 1 <= 2**shift - 1: no digit overflows, and the top
+digit alone shows whether the sum is past the bound.
+
+Both kernels multiply by one factor per step vector.  Truncated products
+commute, so the result does not depend on the order of the steps; the order
+only sets how large the supports grow in between, which is why charring and
+filtration each choose theirs.
 
 geometric_product looks up ``k - v`` for each key k.  When that subtraction
 borrows, the lowest borrowing digit is 0 - 1 with no borrow coming in, so it
@@ -21,20 +31,23 @@ Coefficient values are ordinary Python ints and are never bounded.
 
 def binomial_product(acc, vecs, bound, hshift, sign=1):
     """Multiply acc by prod_v (1 + sign * x^v), truncated to heights <= bound;
-    acc maps valid packed keys to coefficients and is not modified.  With
-    sign -1 cancelled terms are dropped; with sign 1 and a positive acc no
-    term cancels."""
+    acc maps valid packed keys to coefficients and is not modified.  Terms
+    that cancel are dropped; with sign 1 and a positive acc none do."""
     for v in vecs:
-        hv = v >> hshift
-        out = dict(acc)
+        # Keys below lim have height <= bound - height(v).
+        lim = (bound + 1 - (v >> hshift)) << hshift
+        # copy(), not dict(): acc may be a read-only proxy of a cached table,
+        # which dict() would copy key by key.
+        out = acc.copy()
+        get = out.get
         for k, c in acc.items():
-            if (k >> hshift) + hv <= bound:
+            if k < lim:
                 k2 = k + v
-                prev = out.get(k2)
-                out[k2] = sign * c if prev is None else prev + sign * c
-        if sign < 0:
-            for k in [k for k, c in out.items() if not c]:
-                del out[k]
+                c2 = get(k2, 0) + sign * c
+                if c2:
+                    out[k2] = c2
+                else:
+                    del out[k2]
         acc = out
     return acc
 
@@ -42,26 +55,30 @@ def binomial_product(acc, vecs, bound, hshift, sign=1):
 def geometric_product(acc, vecs, bound, hshift, sign=1):
     """Multiply acc by prod_v 1 / (1 - sign * x^v), truncated to heights
     <= bound; acc maps valid packed keys to coefficients.  With sign 1 this is
-    prod_v (1 + x^v + x^2v + ...); with sign -1 it divides by prod_v (1 + x^v)."""
+    prod_v (1 + x^v + x^2v + ...); with sign -1 it divides by prod_v (1 + x^v).
+    The keys are sorted once; each pass then appends the keys it adds to the
+    sorted list and sorts that once."""
+    lim = (bound + 1) << hshift
+    keys = sorted(acc)
     for v in vecs:
-        hv = v >> hshift
-        # Close the support under addition of v, then fill coefficients in
-        # increasing key order; k - v is always processed before k.
-        keys = set(acc)
-        frontier = list(acc)
-        while frontier:
-            grown = []
-            for k in frontier:
-                if (k >> hshift) + hv <= bound:
-                    k2 = k + v
-                    if k2 not in keys:
-                        keys.add(k2)
-                        grown.append(k2)
-            frontier = grown
+        # Close the support under addition of v.  A chain k + v, k + 2v, ...
+        # stops above the bound or at a key already held, whose own chain
+        # goes on from there, so no key is added twice.
+        grown = []
+        for k in keys:
+            k2 = k + v
+            while k2 < lim and k2 not in acc:
+                grown.append(k2)
+                k2 += v
+        if grown:
+            keys += grown
+            keys.sort()
+        # Increasing key order does k - v before k.
         out = {}
-        for k in sorted(keys):
+        for k in keys:
             c = acc.get(k, 0) + sign * out.get(k - v, 0)
             if c:
                 out[k] = c
         acc = out
+        keys = list(out)
     return acc

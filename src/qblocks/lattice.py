@@ -10,7 +10,6 @@ print alike on equal values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, neg, sub
 from typing import Iterable, Iterator, NamedTuple, Union
@@ -142,8 +141,7 @@ def rho(n: int) -> Weight:
     return Weight(Fraction(n + 1 - 2 * i, 2) for i in range(1, n + 1))
 
 
-@dataclass(frozen=True)
-class ClassifyReport:
+class ClassifyReport(NamedTuple):
     integral: bool
     dominant: bool
     regular: bool

@@ -16,9 +16,8 @@ import functools
 import itertools
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from qblocks.charring import (
     FormalCharacter,
@@ -58,8 +57,7 @@ from qblocks.weyl import Perm, all_perms, rho_defect
 DEFAULT_SEED = 7
 
 
-@dataclass
-class CriterionResult:
+class CriterionResult(NamedTuple):
     number: int
     name: str
     passed: bool

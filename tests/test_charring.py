@@ -251,6 +251,20 @@ def test_offset_codec_round_trip(n, super_blocks):
 def test_truncation_rejects_negative_bound():
     with pytest.raises(ValueError):
         Truncation(wt("0,0"), -1)
+    with pytest.raises(ValueError, match="nonnegative int: 1.5"):
+        Truncation(wt("0,0"), 1.5)
+
+
+def test_truncation_is_an_immutable_hashable_value():
+    t = Truncation(wt("3,1"), 2)
+    assert repr(t) == "Truncation(base=Weight('3,1'), bound=2)"
+    assert t == Truncation(wt("3,1"), 2) != Truncation(wt("3,1"), 3)
+    assert len({t, Truncation(wt("3,1"), 2)}) == 1
+    with pytest.raises(AttributeError):
+        t.bound = 5
+    with pytest.raises(AttributeError):
+        t.extra = 5
+    assert pickle.loads(pickle.dumps(t)) == t
 
 
 def test_verma_single_root_geometric():

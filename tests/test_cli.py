@@ -310,6 +310,50 @@ def test_console_script_installed():
     assert json.loads(proc.stdout)["rows"][0]["strongly_typical"] is True
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # Fits the stdout buffer, so it is written by the final flush.
+        ["classify", "--lambda", "3,1"],
+        # About 79 kB, so print itself writes to the pipe.
+        ["mult", "--n", "4", "--lambda=7,5,3,1", "--w", "all"],
+    ],
+)
+def test_closed_stdout_exits_141_quietly(argv):
+    # The reader is gone before the first write, as when `| head` has
+    # already exited: no traceback, and not the verification-failure code.
+    # stdout stays block-buffered, as it is by default on a pipe.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "qblocks.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == cli.EXIT_PIPE == 141
+    assert proc.stderr == ""
+
+
+def test_cli_import_loads_neither_selftest_nor_dataclasses():
+    # Only the selftest command needs the acceptance suite, and no command
+    # needs dataclasses; each process would compile them on every start.
+    code = (
+        "import sys; before = set(sys.modules); import qblocks.cli; "
+        "print(sorted({'qblocks.selftest', 'dataclasses', 'inspect'}"
+        " & (set(sys.modules) - before)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "[]"
+
+
 # Exact bytes of the three sweep commands at n = 2.  The tests above check
 # structure; these pin key order, indentation, cell formats and headers.
 

@@ -15,6 +15,7 @@ from qblocks.charring import (
 )
 from qblocks.filtration import (
     FlagExtractionError,
+    _table_quotient,
     FlagMultiset,
     PreconditionError,
     ind_block_mult,
@@ -356,6 +357,46 @@ def test_packed_route_matches_eager_copy():
     assert cases == 4 * (1 * 3 + 2 * 3 + 6 * 4 + 24 * 4)
     # A plain Verma character divided by P fails both ways.
     assert errors == {"negative", "coefficient"}
+
+
+def test_cached_quotient_matches_eager_route():
+    # A packed character's table is divided once per (n, bound, table kind,
+    # block kind); every later call, at any base and with any scale factor,
+    # reuses that quotient and must still match the eager route, errors
+    # included.
+    builds = (
+        lambda mu, t: super_verma_char(mu, t, even_only=True),
+        super_verma_char,
+        verma_char,
+    )
+    _table_quotient.cache_clear()
+    problems = set()
+    outcomes = set()
+    for n, coords in PACKED_LAMBDAS.items():
+        H = full_support_height(n)
+        lam = wt(coords)
+        for bound in sorted({0, 1, H}):
+            for w in all_perms(n):
+                wl = w.act(lam)
+                t = Truncation(wl, bound)
+                for build in builds:
+                    for super_blocks in (False, True):
+                        for _ in range(2):
+                            ch = build(wl, t)
+                            got = _outcome(verma_flag_extract, ch, t, super_blocks)
+                            eager = FormalCharacter(n, ch.items())
+                            want = _outcome(verma_flag_extract, eager, t, super_blocks)
+                            assert got == want, (n, w, bound, super_blocks)
+                            if isinstance(want, tuple):
+                                outcomes.add(want[1].split(" ")[0])
+                            else:
+                                outcomes.add("flag")
+                            problems.add((n, bound, build is verma_char, super_blocks))
+    info = _table_quotient.cache_info()
+    assert info.misses == len(problems) == info.currsize
+    assert info.hits > 10 * info.misses
+    # Flags, negative coefficients and indivisible ones all came up.
+    assert outcomes == {"flag", "negative", "coefficient"}
 
 
 @pytest.mark.parametrize("n,coords", sorted(DIFFERENTIAL_LAMBDAS.items()))
