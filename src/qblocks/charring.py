@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
+from operator import add
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Union
 
@@ -119,13 +120,22 @@ class FormalCharacter:
         return NotImplemented
 
     def __mul__(self, other: "FormalCharacter") -> "FormalCharacter":
-        """Convolution product; the general, unpacked code path."""
+        """Convolution product; the general, unpacked code path, which
+        translates when one factor is a single exponential."""
         if not isinstance(other, FormalCharacter):
             return NotImplemented
         self._check_compatible(other)
         a, b = self._terms, other._terms
         if len(b) < len(a):
             a, b = b, a
+        if len(a) == 1:
+            # e^wa times b is b translated by wa: distinct weights stay
+            # distinct and no coefficient vanishes, so nothing merges.
+            ((wa, ca),) = a.items()
+            sa = wa.coords
+            return self._wrap(
+                {Weight(map(add, sa, wb.coords)): ca * cb for wb, cb in b.items()}
+            )
         out: dict[Weight, int] = {}
         for wa, ca in a.items():
             for wb, cb in b.items():

@@ -1,12 +1,17 @@
 """Verma-filtration multiplicities in both the restriction and induction
 directions, the orbit-intersection check that pins them to a single weight
 per block, and flag extraction by division by the block generating function,
-an independent route to the restriction flag."""
+an independent route to the restriction flag.
+
+The orbit-intersection check runs on one codec, _Packing's simple-root
+digits: every plain and dot orbit point x of a dominant lam lies below lam,
+so lam - x has a key, cached once per lam, and each digit gets one guard bit
+above it, so that subtracting two keys shows at once whether the difference
+lies in the positive cone (see _orbit_hits)."""
 
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import sub
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Union
 
@@ -16,6 +21,7 @@ from qblocks.charring import (
     _Packing,
     _offset_table,
     _packed_offsets,
+    full_support_height,
     k_dim,
     subset_sum_P,
 )
@@ -98,19 +104,82 @@ def _require(lam: Weight, what: str, strongly_typical: bool = False) -> None:
         )
 
 
+def _hit_width(lam: Weight) -> int:
+    """Digit width of _orbit_hits' keys for a dominant lam: every key they
+    pack has height at most 2^width - 2.
+
+    For an orbit point u, the j-th simple-root coefficient of lam - u is the
+    sum of the j largest coordinates of lam minus the sum of j others, so at
+    most min(j, n - j) times the spread lam_1 - lam_n; the same holds for a
+    dot-orbit point with the spread of lam + rho'.  Their heights are
+    therefore at most floor(n^2/4) times that spread, and P's at most
+    full_support_height(n).
+    """
+    n, c = lam.rank, lam.coords
+    top = max(n * n // 4 * (c[0] - c[-1] + n - 1), full_support_height(n))
+    return (top + 1).bit_length()
+
+
 @lru_cache(maxsize=None)
-def _support_ints(n: int) -> frozenset[tuple[int, ...]]:
-    return frozenset(w.as_integers() for w, _ in subset_sum_P(n).items())
+def _hit_support(n: int, width: int) -> tuple[_Packing, int, dict[int, int]]:
+    """The packing of digit width `width`, its guard mask, and P's support
+    re-keyed by it, each key mapped to its subset-sum coefficient.  The
+    cached dicts are shared by every caller and never mutated.
+
+    _Packing(n, 2^width - 2) gives every digit a field of at least
+    width + 1 bits, and a digit never exceeds its key's height, so the top
+    bit of every digit field is clear in every key: that bit is the guard.
+    """
+    pk = _Packing(n, (1 << width) - 2)
+    guard = sum(1 << (pos * pk.shift + pk.shift - 1) for pos in range(n - 1))
+    zero = Weight.zero(n)
+    coeffs = {pk.key_below(p, zero): c for p, c in subset_sum_P(n).items()}
+    return pk, guard, coeffs
 
 
-@lru_cache(maxsize=512)
-def _orbit_ints(lam: Weight) -> frozenset[tuple[int, ...]]:
-    return frozenset(w.as_integers() for w in orbit(lam))
+@lru_cache(maxsize=16)
+def _orbit_keys(
+    lam: Weight,
+) -> tuple[int, dict[int, int], dict[Weight, int], dict[Weight, int]]:
+    """The guard mask, P's coefficients by key, and the key of lam - x for
+    every point x of the plain and of the dot orbit of a dominant lam.
+    Every such point lies below lam, so each lam - x has a key."""
+    pk, guard, coeffs = _hit_support(lam.rank, _hit_width(lam))
+    plain = {u: pk.key_below(lam, u) for u in orbit(lam)}
+    dot = {v: pk.key_below(lam, v) for v in dot_orbit(lam)}
+    return guard, coeffs, plain, dot
 
 
-@lru_cache(maxsize=512)
-def _dot_orbit_ints(lam: Weight) -> frozenset[tuple[int, ...]]:
-    return frozenset(w.as_integers() for w in dot_orbit(lam))
+def _orbit_hits(lam: Weight, w: Perm) -> tuple[dict[Weight, int], dict[Weight, int]]:
+    """The plain-orbit points u with u - w.lam in supp P, and the dot-orbit
+    points v with w(lam) - v in supp P, each mapped to that P-coefficient,
+    for an integral dominant regular lam.
+
+    Both differences are differences of cached keys: u - w.lam is
+    (lam - w.lam) - (lam - u), and w(lam) - v is (lam - v) - (lam - w(lam)).
+    Subtracting two keys digit by digit gives the key of the difference
+    exactly when no digit goes negative.  Otherwise the lowest field that
+    borrows wraps to at least 2^(shift - 1), which sets its guard bit; a
+    difference whose digits are all nonnegative sets none, since they are at
+    most the first key's.  So one subtraction, one guard-mask test and one
+    lookup in P's keys decide each point.  No key of P has a guard bit set,
+    so the lookup alone would be exact; the mask test comes first because
+    most points borrow, and it is cheaper than hashing the difference.
+    """
+    guard, coeffs, plain, dot = _orbit_keys(lam)
+    a = dot[w.dot(lam)]
+    b = plain[w.act(lam)]
+    plain_hits = {
+        u: coeffs[d]
+        for u, k in plain.items()
+        if not (d := a - k) & guard and d in coeffs
+    }
+    dot_hits = {
+        v: coeffs[d]
+        for v, k in dot.items()
+        if not (d := k - b) & guard and d in coeffs
+    }
+    return plain_hits, dot_hits
 
 
 class LinkageReport(NamedTuple):
@@ -141,23 +210,13 @@ def linkage_check(lam: Weight, w: Perm) -> LinkageReport:
     n = lam.rank
     check_rank(n)
     _require(lam, "linkage_check")
-    pchar = subset_sum_P(n)
-    psupp = _support_ints(n)
+    plain_hits, dot_hits = _orbit_hits(lam, w)
+    plain, dot = frozenset(plain_hits), frozenset(dot_hits)
     wd = w.dot(lam)
-    wl_i = wl.as_integers()
-    wd_i = wd.as_integers()
-    plain = frozenset(
-        Weight(v)
-        for v in _orbit_ints(lam)
-        if tuple(map(sub, v, wd_i)) in psupp
-    )
-    dot = frozenset(
-        Weight(v)
-        for v in _dot_orbit_ints(lam)
-        if tuple(map(sub, wl_i, v)) in psupp
-    )
     offset = wl - wd
-    mult = pchar.coefficient(offset)
+    # P[w(lam) - w.lam] when w(lam) is a plain hit; else that point lies
+    # outside supp P.
+    mult = plain_hits.get(wl, 0)
     passed = plain == frozenset((wl,)) and dot == frozenset((wd,)) and mult == 1
     return LinkageReport(lam, w, plain, dot, offset, mult, passed)
 
@@ -203,16 +262,20 @@ def ind_block_mult(lam: Weight, w: Perm) -> int:
     return sum(flag.get(nu) for nu in orbit(lam))
 
 
-def ind_block_mult_split(lam: Weight, w: Perm) -> int:
-    """Block multiplicity after parity splitting: the raw count halves when
-    n is even and the induced summands come in switched pairs."""
-    raw = ind_block_mult(lam, w)
-    n = lam.rank
+def _parity_split(raw: int, n: int) -> int:
+    """The rank-n raw induced count after parity splitting: halved when n is
+    even and the induced summands come in switched pairs."""
     if n % 2 == 0:
         if raw % 2:
             raise ArithmeticError(f"odd raw multiplicity {raw} cannot split")
         return raw // 2
     return raw
+
+
+def ind_block_mult_split(lam: Weight, w: Perm) -> int:
+    """Block multiplicity after parity splitting: _parity_split of the raw
+    count ind_block_mult(lam, w)."""
+    return _parity_split(ind_block_mult(lam, w), lam.rank)
 
 
 def _divide(acc: Mapping[int, int], pk: _Packing, super_blocks: bool) -> dict[int, int]:

@@ -20,8 +20,9 @@ CoordLike = Union[int, str, Fraction]
 
 
 def _scalar(c: CoordLike) -> Scalar:
-    """The exact value of c: an ``int`` when it is an integer, else a ``Fraction``."""
-    q = Fraction(c)
+    """The exact value of c: an ``int`` when it is an integer, else a ``Fraction``.
+    A ``Fraction`` is returned as it is, not copied."""
+    q = c if type(c) is Fraction else Fraction(c)
     return q.numerator if q.denominator == 1 else q
 
 

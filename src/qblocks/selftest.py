@@ -36,8 +36,8 @@ from qblocks.charring import (
 from qblocks.filtration import (
     FlagExtractionError,
     FlagMultiset,
+    _parity_split,
     ind_block_mult,
-    ind_block_mult_split,
     linkage_check,
     res_block_mult,
     restriction_flag,
@@ -152,7 +152,7 @@ def check_induction_mult(
         raw_expected = 2 ** ((n - 1) - (n - 1) // 2)
         split_expected = k_dim(n)
         raw = ind_block_mult(lam, w)
-        split = ind_block_mult_split(lam, w)
+        split = _parity_split(raw, n)
         yield None if raw == raw_expected and split == split_expected else (
             f"n={n} lambda={lam} w={w}: raw={raw} (want {raw_expected}) "
             f"split={split} (want {split_expected})"

@@ -84,6 +84,50 @@ def test_product_matches_double_loop_on_random_inputs():
         assert (a * b).mass() == a.mass() * b.mass()
 
 
+def _translation_cases():
+    rng = random.Random(12)
+    ints = [wt(f"{i},{j},{-i - j}") for i in range(-2, 3) for j in range(-2, 3)]
+    for _ in range(10):
+        one = FormalCharacter(3, {rng.choice(ints): rng.choice((-3, -1, 1, 2, 5))})
+        many = FormalCharacter(3, {v: rng.randint(-4, 4) for v in rng.sample(ints, 7)})
+        yield one, many
+    # Half-integral translations: rho and its images at n = 4, against P.
+    r = rho(4)
+    for w in list(all_perms(4))[::5]:
+        yield FormalCharacter(4, {w.act(r): -2}), subset_sum_Pw(w)
+    yield FormalCharacter(4, {r: 3}), ext_neg(4)
+    mu = wt("5,2,1")
+    yield FormalCharacter(3, {wt("1/2,-1/2,0"): 7}), verma_char(mu, Truncation(mu, 4))
+
+
+def test_single_term_product_is_the_convolution():
+    for one, many in _translation_cases():
+        assert len(one) == 1
+        want = _naive_product(one, many)
+        assert one * many == want
+        assert many * one == want
+        got = one * many
+        assert all(w.rank == one.rank for w, _ in got.items())
+        # Coordinates are normalised as Weight stores them: integral sums
+        # as int, any other as Fraction.
+        assert [w.coords for w in got.support()] == [
+            Weight(w.coords).coords for w in want.support()
+        ]
+        assert all(
+            type(c) is (int if c.denominator == 1 else Fraction)
+            for w, _ in got.items()
+            for c in w.coords
+        )
+
+
+def test_single_term_product_rejects_rank_mismatch():
+    one = FormalCharacter.delta(wt("1,-1"))
+    other = FormalCharacter(3, {wt("1,0,-1"): 2, wt("0,0,0"): 1})
+    for a, b in ((one, other), (other, one)):
+        with pytest.raises(ValueError, match="^rank mismatch: "):
+            a * b
+
+
 def test_json_entries_sorted_with_string_coefficients():
     x = FormalCharacter(2, {wt("1,3"): 2, wt("0,4"): 10**25})
     entries = x.to_json_entries()

@@ -1,8 +1,13 @@
-"""Linkage reports, filtration multiplicities in both directions, and flag
-extraction by division against the greedy peel oracle."""
+"""Linkage reports against the tuple-set scan, filtration multiplicities in
+both directions, and flag extraction by division against the greedy peel
+oracle."""
+
+import functools
+from operator import sub
 
 import pytest
 
+import qblocks.filtration as filtration
 from qblocks.charring import (
     FormalCharacter,
     Truncation,
@@ -15,8 +20,13 @@ from qblocks.charring import (
 )
 from qblocks.filtration import (
     FlagExtractionError,
+    _hit_support,
+    _hit_width,
+    _orbit_hits,
+    _parity_split,
     _table_quotient,
     FlagMultiset,
+    LinkageReport,
     PreconditionError,
     ind_block_mult,
     ind_block_mult_split,
@@ -26,9 +36,15 @@ from qblocks.filtration import (
     restriction_flag,
     verma_flag_extract,
 )
-from qblocks.lattice import Weight, rho, weight_from_simple_coefficients
+from qblocks.lattice import (
+    Weight,
+    rho,
+    simple_root_coefficients,
+    weight_from_simple_coefficients,
+)
+from qblocks.sampling import sample_weights
 from qblocks.selftest import _peel_extract
-from qblocks.weyl import Perm, all_perms, rho_defect
+from qblocks.weyl import Perm, all_perms, dot_orbit, orbit, rho_defect
 
 
 def wt(text):
@@ -102,6 +118,134 @@ def test_linkage_accepts_merely_typical():
     # Dominance, regularity, and integrality carry the argument; a zero
     # coordinate is fine here even though the flag operations reject it.
     assert linkage_check(wt("2,0"), Perm.parse("2 1")).passed
+
+
+@functools.lru_cache(maxsize=None)
+def _support_tuples(n):
+    return frozenset(p.as_integers() for p, _ in subset_sum_P(n).items())
+
+
+@functools.lru_cache(maxsize=4)
+def _orbit_tuples(lam):
+    return (
+        frozenset(u.as_integers() for u in orbit(lam)),
+        frozenset(v.as_integers() for v in dot_orbit(lam)),
+    )
+
+
+def _linkage_by_scan(lam, w):
+    """The oracle for linkage_check: the difference tuple of every plain
+    and dot orbit point, tested against P's support as integer tuples."""
+    n = lam.rank
+    pchar = subset_sum_P(n)
+    psupp = _support_tuples(n)
+    plain_orbit, dot_orbit_ = _orbit_tuples(lam)
+    wl, wd = w.act(lam), w.dot(lam)
+    wl_i, wd_i = wl.as_integers(), wd.as_integers()
+    plain = frozenset(
+        Weight(u) for u in plain_orbit if tuple(map(sub, u, wd_i)) in psupp
+    )
+    dot = frozenset(
+        Weight(v) for v in dot_orbit_ if tuple(map(sub, wl_i, v)) in psupp
+    )
+    offset = wl - wd
+    mult = pchar.coefficient(offset)
+    passed = plain == {wl} and dot == {wd} and mult == 1
+    return LinkageReport(lam, w, plain, dot, offset, mult, passed)
+
+
+def _assert_linkage_matches_scan(lam):
+    for w in all_perms(lam.rank):
+        assert linkage_check(lam, w) == _linkage_by_scan(lam, w), (lam, w)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_linkage_matches_scan_on_sampled_weights(n):
+    for lam in sample_weights(n, 3, seed=50 + n):
+        _assert_linkage_matches_scan(lam)
+
+
+def test_linkage_matches_scan_at_rank_6():
+    _assert_linkage_matches_scan(wt("13,9,6,2,-1,-10"))
+
+
+@pytest.mark.parametrize(
+    "coords", ["4", "-3", "2,0", "5,0,-3", "3,2,1,0", "1000000,5,-1000000"]
+)
+def test_linkage_matches_scan_on_edge_weights(coords):
+    # Rank 1, merely typical weights with a zero coordinate, and a weight
+    # whose keys need digits far wider than the packing's minimum.
+    _assert_linkage_matches_scan(wt(coords))
+
+
+def _largest_digit(lam):
+    return max(
+        max(simple_root_coefficients(lam - x), default=0)
+        for x in orbit(lam) | dot_orbit(lam)
+    )
+
+
+@pytest.mark.parametrize("k", [3, 6, 7, 8, 12])
+@pytest.mark.parametrize("top", [-1, 0])
+def test_linkage_matches_scan_where_digits_cross_a_power_of_two(k, top):
+    # The largest digit of any lam - x is 2^k - 1 or 2^k: at rank 2 it is
+    # lam_1 - lam_2 + 1, at rank 3 lam_1 - lam_3 + 2.
+    d = (1 << k) + top
+    for lam in (Weight([d - 1, 0]), Weight([d - 2, d // 2 - 1, 0])):
+        assert _largest_digit(lam) == d
+        pk, guard, _ = _hit_support(lam.rank, _hit_width(lam))
+        # The guard bit sits above every digit the keys hold.
+        assert d < 1 << (pk.shift - 1)
+        assert guard.bit_count() == lam.rank - 1
+        _assert_linkage_matches_scan(lam)
+
+
+@pytest.mark.parametrize(
+    "coords,missing",
+    [
+        ("0,0", "regular"),
+        ("1,2", "dominant"),
+        ("5/2,1/2", "integral, dominant"),
+        ("3,1/2", "integral, dominant, regular"),
+    ],
+)
+def test_linkage_refusal_names_what_is_missing(coords, missing):
+    with pytest.raises(PreconditionError) as info:
+        linkage_check(wt(coords), Perm.identity(len(coords.split(","))))
+    assert str(info.value) == (
+        "linkage_check requires an integral dominant regular weight; "
+        f"{coords} is not {missing}"
+    )
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_orbit_hit_coefficients_give_the_block_multiplicities(n):
+    # res_block_mult sums k_dim(n) P[w(lam) - v] over the dot orbit, and
+    # ind_block_mult sums 2^(n-1) / k_dim(n) P[u - w.lam] over the plain
+    # orbit: both are sums over _orbit_hits.
+    (lam,) = sample_weights(n, 1, seed=70 + n)
+    factor = 2 ** (n - 1) // k_dim(n)
+    for w in all_perms(n):
+        plain, dot = _orbit_hits(lam, w)
+        assert k_dim(n) * sum(dot.values()) == res_block_mult(lam, w)
+        assert factor * sum(plain.values()) == ind_block_mult(lam, w)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_split_is_parity_split_of_raw(n):
+    (lam,) = sample_weights(n, 1, seed=90 + n)
+    for w in all_perms(n):
+        raw = ind_block_mult(lam, w)
+        assert ind_block_mult_split(lam, w) == _parity_split(raw, n)
+
+
+def test_odd_raw_multiplicity_at_even_rank_cannot_split(monkeypatch):
+    with pytest.raises(ArithmeticError, match="odd raw multiplicity 3 cannot split"):
+        _parity_split(3, 2)
+    assert _parity_split(3, 3) == 3
+    monkeypatch.setattr(filtration, "ind_block_mult", lambda lam, w: 5)
+    with pytest.raises(ArithmeticError, match="odd raw multiplicity 5"):
+        ind_block_mult_split(wt("7,5,3,1"), Perm.identity(4))
 
 
 def test_restriction_flag_rank2_identity():

@@ -50,6 +50,17 @@ def test_non_integral_coordinate_stays_fraction():
     assert c == Fraction(1, 2)
 
 
+def test_fraction_coordinates_are_kept_not_copied():
+    half, three = Fraction(1, 2), Fraction(6, 2)
+    w = Weight([half, three, Fraction(-7, 3), 4])
+    assert w.coords[0] is half
+    assert [type(c) for c in w.coords] == [Fraction, int, Fraction, int]
+    assert w.coords == (Fraction(1, 2), 3, Fraction(-7, 3), 4)
+    assert w == Weight.parse("1/2,3,-7/3,4")
+    assert hash(w) == hash(Weight.parse("1/2,3,-7/3,4"))
+    assert str(w) == "1/2,3,-7/3,4"
+
+
 def test_half_integral_sum_collapses_to_int():
     total = Weight.parse("1/2") + Weight.parse("1/2")
     (c,) = total.coords

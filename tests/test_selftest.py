@@ -1,6 +1,8 @@
 """Red criteria: a failing case is reported, every case still runs, and the
 selftest command and run_all see the failure."""
 
+import pytest
+
 import qblocks.selftest as selftest
 from qblocks.charring import k_dim
 from qblocks.cli import main
@@ -49,3 +51,31 @@ def test_run_all_looks_criteria_up_at_call_time(monkeypatch):
     stub = selftest.CriterionResult(8, "stub", True, 0, 0.0, "stub")
     monkeypatch.setattr(selftest, "check_thick_dim", lambda max_n=None: stub)
     assert selftest.run_all(max_n=2)[7] is stub
+
+
+def test_wrong_raw_induction_multiplicity_turns_criterion_3_red(monkeypatch):
+    green = selftest.check_induction_mult(max_n=3)
+    assert green.passed and green.cases == 24
+    orig = selftest.ind_block_mult
+    monkeypatch.setattr(selftest, "ind_block_mult", lambda lam, w: 2 * orig(lam, w))
+    red = selftest.check_induction_mult(max_n=3)
+    assert not red.passed and red.cases == green.cases
+    # The first case is n = 2, where the raw count 2 doubles to 4 and the
+    # split follows it to 2.
+    assert red.detail.endswith("raw=4 (want 2) split=2 (want 1)")
+    assert red.line().startswith("FAIL criterion 3:")
+
+
+def test_broken_parity_split_turns_criterion_3_red(monkeypatch):
+    # No halving at even rank: the raw count passes, the split does not.
+    monkeypatch.setattr(selftest, "_parity_split", lambda raw, n: raw)
+    red = selftest.check_induction_mult(max_n=3)
+    assert not red.passed and red.cases == 24
+    assert red.detail.startswith("n=2 ")
+    assert red.detail.endswith("raw=2 (want 2) split=2 (want 1)")
+
+
+def test_odd_raw_multiplicity_at_even_rank_stops_criterion_3(monkeypatch):
+    monkeypatch.setattr(selftest, "ind_block_mult", lambda lam, w: 3)
+    with pytest.raises(ArithmeticError, match="odd raw multiplicity 3 cannot split"):
+        selftest.check_induction_mult(max_n=2)
