@@ -1,15 +1,21 @@
 """Sparse formal characters on the weight lattice.
 
 A FormalCharacter is a finitely supported Weight -> int map with convolution
-product.  The heavy builders (subset-sum multisets of positive roots and
-truncated Verma and super-Verma offsets) run on packed integer keys through
-the kernels in qblocks.kernels._pykernels.  The offset tables are cached as
-the kernels' packed dicts.  A Verma or super-Verma character keeps its table
-packed and builds its Weight-keyed terms only when something first reads
-them; _packed_offsets tells flag extraction which cached table a character
-scales, so the division can start from the table itself.  The key
-format stays behind _Packing, whose weight_below and key_below convert
-between a region's keys and its weights.
+product.  Terms merge in the constructor: sums, general products and the
+transported subset-sum characters hand it their terms, and it adds the
+coefficients of equal weights and drops those that cancel.  Only scaling,
+translation by a single exponential and the packed characters below, none of
+which can merge or cancel a term, build their terms without it.
+
+The heavy builders (subset-sum multisets of positive roots and truncated
+Verma and super-Verma offsets) run on packed integer keys through the kernels
+in qblocks.kernels._pykernels.  The offset tables are cached as the kernels'
+packed dicts.  A Verma or super-Verma character keeps its table packed and
+builds its Weight-keyed terms only when something first reads them;
+_packed_offsets tells flag extraction which cached table a character scales,
+so the division can start from the table itself.  The key format stays behind
+_Packing, whose weight_below and key_below convert between a region's keys
+and its weights.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ import math
 from functools import lru_cache
 from operator import add
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Union
 
 from qblocks.kernels._pykernels import binomial_product, geometric_product
 from qblocks.lattice import Weight, positive_roots, weight_from_simple_coefficients
@@ -93,14 +99,9 @@ class FormalCharacter:
 
     def __add__(self, other: "FormalCharacter") -> "FormalCharacter":
         self._check_compatible(other)
-        out = dict(self._terms)
-        for w, c in other._terms.items():
-            merged = out.get(w, 0) + c
-            if merged:
-                out[w] = merged
-            else:
-                del out[w]
-        return self._wrap(out)
+        return FormalCharacter(
+            self.rank, itertools.chain(self._terms.items(), other._terms.items())
+        )
 
     def __sub__(self, other: "FormalCharacter") -> "FormalCharacter":
         return self + other.scale(-1)
@@ -136,46 +137,9 @@ class FormalCharacter:
             return self._wrap(
                 {Weight(map(add, sa, wb.coords)): ca * cb for wb, cb in b.items()}
             )
-        out: dict[Weight, int] = {}
-        for wa, ca in a.items():
-            for wb, cb in b.items():
-                w = wa + wb
-                merged = out.get(w, 0) + ca * cb
-                if merged:
-                    out[w] = merged
-                else:
-                    del out[w]
-        return self._wrap(out)
-
-    def map_weights(self, fn: Callable[[Weight], Weight]) -> "FormalCharacter":
-        """Push the character through a weight map, merging collisions."""
-        out: dict[Weight, int] = {}
-        for w, c in self._terms.items():
-            v = fn(w)
-            merged = out.get(v, 0) + c
-            if merged:
-                out[v] = merged
-            else:
-                del out[v]
-        return self._wrap(out)
-
-    def negate_weights(self) -> "FormalCharacter":
-        return self.map_weights(lambda w: -w)
-
-    def to_json_entries(self) -> list[dict[str, str]]:
-        """Deterministic serialization: lexicographically sorted weights,
-        coefficients as decimal strings."""
-        return [
-            {"weight": str(w), "coeff": str(c)} for w, c in self.sorted_items()
-        ]
-
-    @classmethod
-    def from_json_entries(
-        cls, rank: int, entries: Iterable[Mapping[str, str]]
-    ) -> "FormalCharacter":
-        return cls(
-            rank,
-            ((Weight.parse(e["weight"]), int(e["coeff"])) for e in entries),
+        return FormalCharacter(
+            self.rank,
+            ((wa + wb, ca * cb) for wa, ca in a.items() for wb, cb in b.items()),
         )
 
     def _check_compatible(self, other: "FormalCharacter") -> None:
@@ -322,13 +286,14 @@ def subset_sum_P(n: int) -> FormalCharacter:
 def subset_sum_Pw(w: Perm) -> FormalCharacter:
     """Subset sums of the w-image of the positive system, i.e. prod over
     alpha of (1 + e^{w(alpha)}).  Computed by transporting subset_sum_P."""
-    return subset_sum_P(w.rank).map_weights(w.act)
+    P = subset_sum_P(w.rank)
+    return FormalCharacter(w.rank, ((w.act(p), c) for p, c in P.items()))
 
 
 def ext_neg(n: int) -> FormalCharacter:
     """Character of the exterior algebra on the negative roots:
     prod over positive alpha of (1 + e^{-alpha})."""
-    return subset_sum_P(n).negate_weights()
+    return FormalCharacter(n, ((-p, c) for p, c in subset_sum_P(n).items()))
 
 
 @lru_cache(maxsize=None)
@@ -354,8 +319,8 @@ def _offset_table(n: int, bound: int, super_blocks: bool) -> Mapping[int, int]:
 
 class _PackedCharacter(FormalCharacter):
     """The character factor * sum of c e^(base - offset) over the cached
-    offset table _offset_table(rank, bound, super_table), whose keys are
-    _Packing(rank, bound) keys.
+    offset table _offset_table(rank, trunc.bound, super_table), whose keys
+    are _Packing(rank, trunc.bound) keys; trunc must be based at base.
 
     The _terms slot stays unset until something first reads it; __getattr__
     then builds the Weight-keyed terms once.  len() and bool() answer from
@@ -364,11 +329,13 @@ class _PackedCharacter(FormalCharacter):
 
     __slots__ = ("_table", "_base", "_bound", "_super_table", "_factor")
 
-    def __init__(self, base: Weight, bound: int, super_table: bool, factor: int):
+    def __init__(self, base: Weight, trunc: Truncation, super_table: bool, factor: int):
+        if trunc.base != base:
+            raise ValueError(f"truncation base {trunc.base} does not match {base}")
         self.rank = base.rank
-        self._table = _offset_table(base.rank, bound, super_table)
+        self._table = _offset_table(base.rank, trunc.bound, super_table)
         self._base = base
-        self._bound = bound
+        self._bound = trunc.bound
         self._super_table = super_table
         self._factor = factor
 
@@ -408,14 +375,6 @@ def _packed_offsets(
     return None
 
 
-def _offsets_to_char(
-    mu: Weight, trunc: Truncation, super_blocks: bool, factor: int = 1
-) -> FormalCharacter:
-    if trunc.base != mu:
-        raise ValueError(f"truncation base {trunc.base} does not match {mu}")
-    return _PackedCharacter(mu, trunc.bound, super_blocks, factor)
-
-
 def verma_char(mu: Weight, trunc: Truncation) -> FormalCharacter:
     """Truncated Verma character e^mu * prod over positive alpha of
     (1 + e^{-alpha} + e^{-2 alpha} + ...).
@@ -425,7 +384,7 @@ def verma_char(mu: Weight, trunc: Truncation) -> FormalCharacter:
     packed offset table and builds its Weight-keyed terms only when they are
     first read; len() and bool() build none.
     """
-    return _offsets_to_char(mu, trunc, False)
+    return _PackedCharacter(mu, trunc, False, 1)
 
 
 def super_verma_char(
@@ -440,7 +399,7 @@ def super_verma_char(
     and filtration.verma_flag_extract divides the table without building them.
     """
     factor = k_dim(mu.rank) if even_only else 2 * k_dim(mu.rank)
-    return _offsets_to_char(mu, trunc, True, factor)
+    return _PackedCharacter(mu, trunc, True, factor)
 
 
 def subset_sum_P_by_enumeration(n: int) -> FormalCharacter:

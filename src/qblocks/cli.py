@@ -12,7 +12,8 @@ carry what differs: the row builder, the verdict field and the TSV headers.
 Every command that enumerates a symmetric group checks its rank once, before
 it enumerates anything or builds a row, against QBLOCKS_MAX_RANK or, when
 that is unset, CLI_DEFAULT_MAX_RANK.  flag then refuses, as early, a
-truncation region of more than _MAX_FLAG_REGION points.
+truncation region of more than _MAX_FLAG_REGION points, and mult a table of
+more than _MAX_MULT_ENTRIES flag entries.
 """
 
 from __future__ import annotations
@@ -22,10 +23,16 @@ import json
 import os
 import sys
 from bisect import bisect_right
-from math import comb
+from math import comb, factorial
 from typing import Callable, Optional
 
-from qblocks.charring import Truncation, full_support_height, k_dim, super_verma_char
+from qblocks.charring import (
+    Truncation,
+    full_support_height,
+    k_dim,
+    subset_sum_P,
+    super_verma_char,
+)
 from qblocks.filtration import (
     FlagMultiset,
     ind_block_mult,
@@ -51,6 +58,9 @@ CLI_DEFAULT_MAX_RANK = 7
 # 3.3-4.6 s and 139 MB (2 cores, Python 3.11.7).
 _MAX_FLAG_REGION = comb(40, 5)
 
+# The n = 6 --w all mult table: 720 rows of |supp P(6)| = 2,932 flag entries.
+_MAX_MULT_ENTRIES = 720 * 2_932
+
 
 def _flag_height(n: int, height: Optional[int]) -> int:
     """flag's truncation height, refused when its region of
@@ -70,9 +80,28 @@ def _flag_height(n: int, height: Optional[int]) -> int:
     return bound
 
 
+def _check_mult_rows(n: int, rows: int) -> None:
+    """Refuse a mult sweep whose rows, each with one flag entry per weight of
+    supp P(n), exceed _MAX_MULT_ENTRIES entries.  The rows are compared
+    alone first, so P(n) is built only when they fit."""
+    if rows > _MAX_MULT_ENTRIES:
+        raise GuardError(
+            f"mult at n = {n} asks for {rows:,} rows, more than the "
+            f"{_MAX_MULT_ENTRIES:,} flag entries it may write"
+        )
+    support = len(subset_sum_P(n))
+    if rows * support > _MAX_MULT_ENTRIES:
+        raise GuardError(
+            f"mult at n = {n} would write {rows:,} rows of {support:,} flag "
+            f"entries, more than {_MAX_MULT_ENTRIES:,}; use "
+            f"{_MAX_MULT_ENTRIES // support:,} rows or fewer"
+        )
+
+
 def _resolve_sweep(args) -> tuple[int, dict, list[Weight], list[Perm]]:
-    """Validate the arguments, then apply the rank guard and flag's region guard
-    before sampling any weight.  The dict holds flag's height, fixed per sweep."""
+    """Validate the arguments, then apply the rank guard, flag's region guard
+    and mult's work guard before sampling any weight.  The dict holds flag's
+    height, fixed per sweep."""
     lam = lo = hi = None
     if args.workers < 1:
         raise ValueError(f"--workers must be at least 1, got {args.workers}")
@@ -100,6 +129,9 @@ def _resolve_sweep(args) -> tuple[int, dict, list[Weight], list[Perm]]:
         raise ValueError(f"--w has rank {w.rank}, expected {n}")
     check_rank(n, CLI_DEFAULT_MAX_RANK)
     fixed = {"height": _flag_height(n, args.height)} if args.command == "flag" else {}
+    if args.command == "mult":
+        samples = 1 if lam is not None else args.samples
+        _check_mult_rows(n, samples * (factorial(n) if w is None else 1))
     if lam is None:
         lams = sample_weights(n, args.samples, seed=args.seed, lo=lo, hi=hi)
     else:

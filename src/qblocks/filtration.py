@@ -63,17 +63,11 @@ class FlagMultiset:
     def items(self) -> list[tuple[Weight, int]]:
         return sorted(self._entries.items())
 
-    def total(self) -> int:
-        return sum(self._entries.values())
-
     def __len__(self) -> int:
         return len(self._entries)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, FlagMultiset) and self._entries == other._entries
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._entries.items()))
 
     def to_json_entries(self) -> list[dict[str, object]]:
         return [{"weight": str(w), "mult": m} for w, m in self.items()]

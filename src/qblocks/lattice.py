@@ -63,11 +63,6 @@ class Weight:
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.coords)
 
-    def as_integers(self) -> tuple[int, ...]:
-        if not self.is_integral():
-            raise ValueError(f"weight {self} is not integral")
-        return self.coords
-
     def __add__(self, other: "Weight") -> "Weight":
         _same_rank(self, other)
         return Weight(map(add, self.coords, other.coords))

@@ -60,6 +60,75 @@ def test_zero_coefficients_never_stored():
     assert not (a + b)
 
 
+def _no_zero_coefficient(x):
+    return all(c for _, c in x.items())
+
+
+def test_constructor_merges_duplicate_terms_and_drops_cancelled():
+    x, y = wt("2,0"), wt("1,1")
+    got = FormalCharacter(2, [(x, 3), (y, 1), (x, -3), (y, 0)])
+    assert got == FormalCharacter.delta(y) and len(got) == 1
+    assert got.coefficient(x) == 0 and got.support() == [y]
+    assert not FormalCharacter(2, [(x, 2), (x, -2), (y, 0)])
+    with pytest.raises(ValueError, match=r"^weight 1,0,-1 has rank 3, expected 2$"):
+        FormalCharacter(2, [(x, 1), (wt("1,0,-1"), 1)])
+
+
+def test_sum_with_its_negative_is_empty():
+    mu = wt("5,2,1")
+    for a in (
+        FormalCharacter(2, {wt("3,1"): 2, wt("0,0"): -1, wt("1,-1"): 7}),
+        subset_sum_P(4),
+        verma_char(mu, Truncation(mu, 3)),
+    ):
+        total = a + (-1) * a
+        assert total == FormalCharacter.zero(a.rank)
+        assert len(total) == 0 and not total and total.support() == []
+        assert a - a == total
+    half = FormalCharacter(2, {wt("3,1"): 2, wt("0,0"): -1})
+    rest = FormalCharacter(2, {wt("3,1"): -2, wt("2,2"): 4})
+    assert half + rest == FormalCharacter(2, {wt("0,0"): -1, wt("2,2"): 4})
+    assert len(half + rest) == 2 and _no_zero_coefficient(half + rest)
+    with pytest.raises(ValueError, match="^rank mismatch: 2 vs 3$"):
+        half + FormalCharacter(3, {})
+
+
+def test_general_product_drops_cancelled_cross_terms():
+    x, y = wt("2,0"), wt("1,1")
+    diff = FormalCharacter(2, {x: 1, y: -1})
+    plus = FormalCharacter(2, {x: 1, y: 1})
+    want = FormalCharacter(2, {x + x: 1, y + y: -1})
+    for a, b in ((diff, plus), (plus, diff)):
+        got = a * b
+        assert got == want and len(got) == 2
+        assert got.coefficient(x + y) == 0 and x + y not in got.support()
+        assert _no_zero_coefficient(got)
+    with pytest.raises(ValueError, match="^rank mismatch: 2 vs 3$"):
+        diff * FormalCharacter(3, {wt("1,0,-1"): 1, wt("0,0,0"): 1})
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_subset_sum_Pw_is_P_transported_term_by_term(n):
+    P = subset_sum_P(n)
+    for w in all_perms(n):
+        want = {w.act(p): c for p, c in P.items()}
+        got = subset_sum_Pw(w)
+        assert dict(got.items()) == want and _no_zero_coefficient(got)
+        assert got - FormalCharacter(n, want) == FormalCharacter.zero(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_ext_neg_is_P_negated(n):
+    P = subset_sum_P(n)
+    want = {-p: c for p, c in P.items()}
+    got = ext_neg(n)
+    assert dict(got.items()) == want and _no_zero_coefficient(got)
+    assert got - FormalCharacter(n, want) == FormalCharacter.zero(n)
+    # prod (1 + e^-alpha) = e^(-2 rho) prod (1 + e^alpha)
+    two_rho = rho(n) + rho(n)
+    assert FormalCharacter.delta(-two_rho) * P == got
+
+
 def test_rank_mismatch_rejected():
     with pytest.raises(ValueError):
         FormalCharacter(2, {wt("1,-1"): 1}) * FormalCharacter(3, {})
@@ -126,16 +195,6 @@ def test_single_term_product_rejects_rank_mismatch():
     for a, b in ((one, other), (other, one)):
         with pytest.raises(ValueError, match="^rank mismatch: "):
             a * b
-
-
-def test_json_entries_sorted_with_string_coefficients():
-    x = FormalCharacter(2, {wt("1,3"): 2, wt("0,4"): 10**25})
-    entries = x.to_json_entries()
-    assert entries == [
-        {"weight": "0,4", "coeff": str(10**25)},
-        {"weight": "1,3", "coeff": "2"},
-    ]
-    assert FormalCharacter.from_json_entries(2, entries) == x
 
 
 def test_subset_sum_n2():
@@ -470,7 +529,6 @@ def test_packed_character_matches_eager_copy(build, coords, bound):
     assert fresh() - eager == FormalCharacter.zero(n)
     assert fresh() * probe == eager * probe == probe * fresh()
     assert repr(fresh()) == repr(eager)
-    assert fresh().to_json_entries() == eager.to_json_entries()
     assert fresh().mass() == eager.mass() and fresh().support() == eager.support()
     assert len(fresh()) == len(eager) and bool(fresh()) and bool(eager)
     assert pickle.loads(pickle.dumps(fresh())) == eager

@@ -519,6 +519,62 @@ def test_flag_region_counts_offset_table_points(monkeypatch, n, height):
     assert f"has {points:,} points" in str(refused.value)
 
 
+@pytest.mark.parametrize("argv, fits", [
+    (["--n", "7", "--w", "all"], "57"),
+    (["--n", "7", "--lambda=13,9,6,4,2,-7,-11", "--w", "all"], "57"),
+    (["--n", "5", "--samples", "61"], "7,254"),
+])
+def test_mult_work_guard_exits_three(capsys, monkeypatch, argv, fits):
+    def never(*args, **kwargs):
+        raise AssertionError("sample_weights called before the work guard")
+
+    monkeypatch.setattr(cli, "sample_weights", never)
+    t0 = time.perf_counter()
+    code, out, err = run_cli(["mult"] + argv, capsys)
+    assert time.perf_counter() - t0 < 2.0
+    assert code == 3
+    assert out == ""
+    assert f"use {fits} rows or fewer" in err
+
+
+def test_mult_work_guard_admits_the_n6_table():
+    args = cli.build_parser().parse_args(["mult", "--n", "6", "--w", "all"])
+    n, _, lams, perms = cli._resolve_sweep(args)
+    assert n == 6 and len(lams) * len(perms) * 2_932 == cli._MAX_MULT_ENTRIES
+
+
+def test_mult_work_guard_boundary(capsys, monkeypatch):
+    # |supp P(3)| = 7, so a cap of 42 entries fits the 6 rows of one weight
+    # over all w, and 6 is the largest row count named.
+    monkeypatch.setattr(cli, "_MAX_MULT_ENTRIES", 6 * 7)
+    code, out, err = run_cli(["mult", "--n", "3", "--w", "all"], capsys)
+    assert (code, err) == (0, "")
+    assert len(json.loads(out)["rows"]) == 6
+    code, out, err = run_cli(
+        ["mult", "--n", "3", "--w", "2 1 3", "--samples", "6"], capsys
+    )
+    assert (code, err) == (0, "")
+    code, out, err = run_cli(["mult", "--n", "3", "--samples", "2"], capsys)
+    assert (code, out) == (3, "")
+    assert "12 rows of 7 flag entries" in err and "use 6 rows or fewer" in err
+    code, out, err = run_cli(
+        ["mult", "--n", "3", "--w", "2 1 3", "--samples", "7"], capsys
+    )
+    assert (code, out) == (3, "")
+    assert "use 6 rows or fewer" in err
+
+
+def test_mult_work_guard_compares_rows_before_building_P(capsys, monkeypatch):
+    def never(n):
+        raise AssertionError("subset_sum_P built for rows that cannot fit")
+
+    monkeypatch.setattr(cli, "subset_sum_P", never)
+    monkeypatch.setattr(cli, "_MAX_MULT_ENTRIES", 5)
+    code, out, err = run_cli(["mult", "--n", "3", "--w", "all"], capsys)
+    assert (code, out) == (3, "")
+    assert "asks for 6 rows, more than the 5 flag entries" in err
+
+
 def test_negative_height_exits_two(capsys):
     code, out, err = run_cli(
         ["flag", "--lambda", "3,1", "--w", "1 2", "--height", "-1"], capsys
