@@ -6,6 +6,9 @@ defined with.  The _criterion decorator runs it to the end, times it, counts
 the cases and returns a CriterionResult carrying the first problem; a mere
 verification failure never raises, so tests and the selftest command decide
 what to do with red results.
+The cases of a criterion are independent, so the large ones go through
+_fork_join, which hands a share of them to one forked process when a second
+CPU is usable.
 The greedy peel _peel_extract, the oracle for filtration.verma_flag_extract,
 lives here because criterion 9 and the tests are its only callers.
 """
@@ -14,10 +17,14 @@ from __future__ import annotations
 
 import functools
 import itertools
+import os
+import pickle
 import random
+import signal
+import threading
 import time
 from fractions import Fraction
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, TypeVar
 
 from qblocks.charring import (
     FormalCharacter,
@@ -80,6 +87,119 @@ def _cap(full_scale: int, max_n: Optional[int]) -> int:
 
 
 _Problems = Iterator[Optional[str]]
+_Case = TypeVar("_Case")
+
+# Below this many cases a split costs about as much as it saves: one fork,
+# pipe and pickle round trip takes a few milliseconds.
+_MIN_SPLIT_CASES = 64
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _odd(index: int) -> bool:
+    return index % 2 == 1
+
+
+def _fork_join(
+    case: Callable[[_Case], Optional[str]],
+    items: Sequence[_Case],
+    in_child: Callable[[int], bool] = _odd,
+) -> list[Optional[str]]:
+    """case(item) for every item, as a list of problems in item order.
+
+    With os.fork, at least 2 usable CPUs and at least _MIN_SPLIT_CASES
+    items, one forked child evaluates the items whose index satisfies
+    in_child and this process the others; otherwise this process evaluates
+    them all.  A process running other threads is not forked, since a lock
+    one of them holds would stay held in the child.  Each side goes through
+    its share in index order, so a case may rely on state left by an earlier
+    case of the same side.  As in a serial run, the exception of the
+    lowest-indexed raising case propagates.
+    """
+    if (
+        not hasattr(os, "fork")
+        or len(items) < _MIN_SPLIT_CASES
+        or _usable_cpus() < 2
+        or threading.active_count() > 1
+    ):
+        return [case(item) for item in items]
+    theirs = [i for i in range(len(items)) if in_child(i)]
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            devnull = os.open(os.devnull, os.O_RDWR)
+            for fd in (0, 1, 2):
+                os.dup2(devnull, fd)
+            with os.fdopen(write_fd, "wb") as pipe:
+                pipe.write(_child_report(case, items, theirs))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    with os.fdopen(read_fd, "rb") as pipe:
+        reaped = False
+        try:
+            mine: dict[int, Optional[str]] = {}
+            raised: Optional[tuple[int, Exception]] = None
+            for i in range(len(items)):
+                if not in_child(i):
+                    try:
+                        mine[i] = case(items[i])
+                    except Exception as exc:
+                        raised = (i, exc)
+                        break
+            data = pipe.read()
+            wait_status = os.waitpid(pid, 0)[1]
+            reaped = True
+        finally:
+            if not reaped:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    status = os.waitstatus_to_exitcode(wait_status)
+    if status:  # the child exits 0 only after writing its whole report
+        raise RuntimeError(
+            f"the criterion's forked process exited with status {status} "
+            "before reporting"
+        )
+    failed_at, result = pickle.loads(data)
+    if failed_at is not None and (raised is None or failed_at < raised[0]):
+        raise result
+    if raised is not None:
+        raise raised[1]
+    mine.update(zip(theirs, result))
+    return [mine[i] for i in range(len(items))]
+
+
+def _child_report(
+    case: Callable[[_Case], Optional[str]], items: Sequence[_Case], indices: list[int]
+) -> bytes:
+    """The pickled (None, problems) of the given cases, or (index, exception)
+    for the first of them that raises; an exception that does not survive
+    pickling is replaced by a RuntimeError naming it."""
+    problems = []
+    for i in indices:
+        try:
+            problems.append(case(items[i]))
+        except Exception as exc:
+            try:
+                data = pickle.dumps((i, exc))
+                pickle.loads(data)
+            except Exception:
+                data = pickle.dumps((i, RuntimeError(f"case {i} raised {exc!r}")))
+            return data
+    return pickle.dumps((None, problems))
 
 
 def _criterion(
@@ -109,15 +229,26 @@ def _criterion(
     return decorate
 
 
+_SweepCase = tuple[int, Weight, Perm]
+
+
 def _sweep(
     top: int, max_n: Optional[int], samples: int, seed: int, stride: int
-) -> Iterator[tuple[int, Weight, Perm]]:
+) -> list[_SweepCase]:
     """Every (n, lambda, w) for n = 2..top (capped by max_n), `samples`
     weights drawn with seed + stride * n, and all w in S_n."""
-    for n in range(2, _cap(top, max_n) + 1):
-        for lam in sample_weights(n, samples, seed=seed + stride * n):
-            for w in all_perms(n):
-                yield n, lam, w
+    return [
+        (n, lam, w)
+        for n in range(2, _cap(top, max_n) + 1)
+        for lam in sample_weights(n, samples, seed=seed + stride * n)
+        for w in all_perms(n)
+    ]
+
+
+def _linkage_case(case: _SweepCase) -> Optional[str]:
+    n, lam, w = case
+    ok = linkage_check(lam, w).passed
+    return None if ok else f"first failure: n={n} lambda={lam} w={w}"
 
 
 @_criterion(1, "orbit linkage, exhaustive in w", "all singletons", budget=60)
@@ -126,9 +257,13 @@ def check_linkage(
 ) -> _Problems:
     """Criterion 1: both orbit intersections are singletons and the
     connecting offset has subset-sum coefficient 1, exhaustively in w."""
-    for n, lam, w in _sweep(6, max_n, samples, seed, 1):
-        ok = linkage_check(lam, w).passed
-        yield None if ok else f"first failure: n={n} lambda={lam} w={w}"
+    yield from _fork_join(_linkage_case, _sweep(6, max_n, samples, seed, 1))
+
+
+def _restriction_case(case: _SweepCase) -> Optional[str]:
+    n, lam, w = case
+    got, want = res_block_mult(lam, w), k_dim(n)
+    return None if got == want else f"n={n} lambda={lam} w={w}: {got} != {want}"
 
 
 @_criterion(2, "restriction block multiplicity", "all equal k_dim(n)", budget=10)
@@ -137,9 +272,19 @@ def check_restriction_mult(
 ) -> _Problems:
     """Criterion 2: the block-projected restriction multiplicity equals
     2^floor((n-1)/2), computed rather than assumed."""
-    for n, lam, w in _sweep(5, max_n, samples, seed, 10):
-        got, want = res_block_mult(lam, w), k_dim(n)
-        yield None if got == want else f"n={n} lambda={lam} w={w}: {got} != {want}"
+    yield from _fork_join(_restriction_case, _sweep(5, max_n, samples, seed, 10))
+
+
+def _induction_case(case: _SweepCase) -> Optional[str]:
+    n, lam, w = case
+    raw_expected = 2 ** ((n - 1) - (n - 1) // 2)
+    split_expected = k_dim(n)
+    raw = ind_block_mult(lam, w)
+    split = _parity_split(raw, n)
+    return None if raw == raw_expected and split == split_expected else (
+        f"n={n} lambda={lam} w={w}: raw={raw} (want {raw_expected}) "
+        f"split={split} (want {split_expected})"
+    )
 
 
 @_criterion(3, "induction block multiplicity, raw and split", "all equal", budget=10)
@@ -148,15 +293,16 @@ def check_induction_mult(
 ) -> _Problems:
     """Criterion 3: raw induced multiplicity 2^ceil((n-1)/2), halving to
     k_dim(n) after the even-rank parity split."""
-    for n, lam, w in _sweep(5, max_n, samples, seed, 100):
-        raw_expected = 2 ** ((n - 1) - (n - 1) // 2)
-        split_expected = k_dim(n)
-        raw = ind_block_mult(lam, w)
-        split = _parity_split(raw, n)
-        yield None if raw == raw_expected and split == split_expected else (
-            f"n={n} lambda={lam} w={w}: raw={raw} (want {raw_expected}) "
-            f"split={split} (want {split_expected})"
-        )
+    yield from _fork_join(_induction_case, _sweep(5, max_n, samples, seed, 100))
+
+
+def _flag_oracle_case(case: _SweepCase) -> Optional[str]:
+    n, lam, w = case
+    wl = w.act(lam)
+    trunc = Truncation(wl, full_support_height(n))
+    got = verma_flag_extract(super_verma_char(wl, trunc, even_only=True), trunc)
+    want = restriction_flag(lam, w)
+    return None if got == want else f"n={n} lambda={lam} w={w}: {got} != {want}"
 
 
 @_criterion(
@@ -167,26 +313,23 @@ def check_flag_oracle(
 ) -> _Problems:
     """Criterion 4: flag extraction by division from the even-part
     super-Verma character reproduces the directly computed restriction flag."""
-    for n, lam, w in _sweep(4, max_n, samples, seed, 1000):
-        wl = w.act(lam)
-        trunc = Truncation(wl, full_support_height(n))
-        got = verma_flag_extract(super_verma_char(wl, trunc, even_only=True), trunc)
-        want = restriction_flag(lam, w)
-        yield None if got == want else f"n={n} lambda={lam} w={w}: {got} != {want}"
+    yield from _fork_join(_flag_oracle_case, _sweep(4, max_n, samples, seed, 1000))
+
+
+def _shift_identity_case(case: tuple[int, Perm]) -> Optional[str]:
+    n, w = case
+    r = rho(n)
+    lhs = FormalCharacter.delta(r) * subset_sum_Pw(w)
+    rhs = FormalCharacter.delta(w.act(r)) * subset_sum_P(n)
+    return None if lhs == rhs else f"shift identity fails at n={n} w={w}"
 
 
 @_criterion(5, "subset-sum shift identity and defect coefficient", "identity holds")
 def check_multiset_identity(max_n: Optional[int] = None) -> _Problems:
     """Criterion 5: e^rho * P_w = e^{w(rho)} * P for every w, and the
     rho-defect of w carries subset-sum coefficient exactly 1."""
-    for n in range(1, _cap(5, max_n) + 1):
-        r = rho(n)
-        p = subset_sum_P(n)
-        d_r = FormalCharacter.delta(r)
-        for w in all_perms(n):
-            lhs = d_r * subset_sum_Pw(w)
-            rhs = FormalCharacter.delta(w.act(r)) * p
-            yield None if lhs == rhs else f"shift identity fails at n={n} w={w}"
+    shifts = [(n, w) for n in range(1, _cap(5, max_n) + 1) for w in all_perms(n)]
+    yield from _fork_join(_shift_identity_case, shifts)
     for n in range(1, _cap(6, max_n) + 1):
         p = subset_sum_P(n)
         for w in all_perms(n):
@@ -206,14 +349,18 @@ def check_mass_law(max_n: Optional[int] = None) -> _Problems:
         yield None if ok else f"enumeration oracle disagrees at n={n}"
 
 
+def _orbit_maximality_case(case: _SweepCase) -> Optional[str]:
+    n, lam, u = case
+    return None if leq(u.act(lam), lam) else f"n={n} lambda={lam} u={u}"
+
+
 @_criterion(7, "dominant weights top their orbits", "all below")
 def check_orbit_maximality(
     seed: int = DEFAULT_SEED, samples: int = 3, max_n: Optional[int] = None
 ) -> _Problems:
     """Criterion 7: every plain-orbit point of a dominant weight lies below
     it in dominance order."""
-    for n, lam, u in _sweep(5, max_n, samples, seed, 41):
-        yield None if leq(u.act(lam), lam) else f"n={n} lambda={lam} u={u}"
+    yield from _fork_join(_orbit_maximality_case, _sweep(5, max_n, samples, seed, 41))
 
 
 @_criterion(8, "thick multiplicity against monomial oracle", "all counts agree")
@@ -420,11 +567,26 @@ def check_property_suite(
         ("rho defect identity", _property_defect),
         ("extraction order independence", _property_extraction),
     ]
-    for offset, (name, fn) in enumerate(families):
-        rng = random.Random(seed + 5000 * (offset + 1))
-        for _ in range(cases_each):
-            problem = fn(rng)
-            yield f"{name}: {problem}" if problem else None
+    rngs: dict[int, random.Random] = {}
+
+    def case(i: int) -> Optional[str]:
+        # Each family draws from its own generator in case order; a family
+        # runs whole on one side of the split, so the draws are the serial
+        # ones.
+        offset, k = divmod(i, cases_each)
+        if k == 0:
+            rngs[offset] = random.Random(seed + 5000 * (offset + 1))
+        name, fn = families[offset]
+        problem = fn(rngs[offset])
+        return f"{name}: {problem}" if problem else None
+
+    # The extraction family, which costs more than the other three
+    # together, stays in this process, and with it the character builders
+    # it calls.
+    extraction = 3 * cases_each
+    yield from _fork_join(
+        case, range(4 * cases_each), in_child=lambda i: i < extraction
+    )
 
 
 def run_all(

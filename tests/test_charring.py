@@ -1,6 +1,8 @@
 """Sparse character arithmetic, subset-sum multisets, and truncated
 highest-weight characters, each checked against naive expansions."""
 
+import collections
+import functools
 import itertools
 import pickle
 import random
@@ -217,6 +219,39 @@ def test_subset_sum_mass(n):
 @pytest.mark.parametrize("n", range(1, 5))
 def test_subset_sum_matches_enumeration(n):
     assert subset_sum_P(n) == subset_sum_P_by_enumeration(n)
+
+
+@functools.lru_cache(maxsize=None)
+def _gelfand_tsetlin_weights(top):
+    """Number of Gelfand-Tsetlin patterns with top row `top`, by weight.
+
+    A pattern is a triangle of rows, each interlacing the one above it;
+    coordinate k of its weight is the sum of row k minus that of row k - 1.
+    The count at weight mu is the Kostka number K_{top, mu}, found here with
+    no reference to roots or subsets."""
+    if len(top) == 1:
+        return collections.Counter({top: 1})
+    counts = collections.Counter()
+    between = [range(low, high + 1) for high, low in zip(top, top[1:])]
+    for row in itertools.product(*between):
+        last = sum(top) - sum(row)
+        for mu, c in _gelfand_tsetlin_weights(row).items():
+            counts[mu + (last,)] += c
+    return counts
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_subset_sum_matches_kostka_numbers(n):
+    # prod over alpha > 0 of (e^{alpha/2} + e^{-alpha/2}) is ch V(rho), so
+    # P[nu] = K_{rho', rho' - nu} with rho' = (n-1, ..., 1, 0).
+    top = tuple(range(n - 1, -1, -1))
+    kostka = _gelfand_tsetlin_weights(top)
+    P = subset_sum_P(n)
+    for nu, c in P.items():
+        assert kostka[tuple(t - int(x) for t, x in zip(top, nu.coords))] == c
+    # dim V(rho') equals the mass of P, so no weight of V(rho') lies outside
+    # rho' - supp P.
+    assert sum(kostka.values()) == P.mass() == 2 ** (n * (n - 1) // 2)
 
 
 @pytest.mark.parametrize("n", range(2, 6))
