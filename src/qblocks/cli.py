@@ -44,7 +44,15 @@ from qblocks.filtration import (
 )
 from qblocks.lattice import Weight, classify
 from qblocks.sampling import sample_weights
-from qblocks.weyl import GuardError, Perm, all_perms, check_rank, dot_orbit, orbit
+from qblocks.weyl import (
+    GuardError,
+    Perm,
+    _usable_cpus,
+    all_perms,
+    check_rank,
+    dot_orbit,
+    orbit,
+)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -140,8 +148,9 @@ def _resolve_sweep(args) -> tuple[int, dict, list[Weight], list[Perm]]:
 
 
 def _map_rows(fn: Callable, payloads: list, workers: int) -> list:
-    # More processes than rows or cores would only sit idle.
-    procs = min(workers, len(payloads), os.cpu_count() or 1)
+    # More processes than rows or usable CPUs would only sit idle.
+    procs = min(workers, len(payloads))
+    procs = min(procs, _usable_cpus()) if procs > 1 else procs
     if procs > 1:
         # Imported here so serial runs never load multiprocessing.
         from concurrent.futures import ProcessPoolExecutor

@@ -8,7 +8,9 @@ verification failure never raises, so tests and the selftest command decide
 what to do with red results.
 The cases of a criterion are independent, so the large ones go through
 _fork_join, which hands a share of them to one forked process when a second
-CPU is usable.
+CPU is usable.  Both sides run the same routine, _evaluate, on their share.
+Criterion 1 splits by weight, so that each side builds the orbit keys of
+its own weights only.
 The greedy peel _peel_extract, the oracle for filtration.verma_flag_extract,
 lives here because criterion 9 and the tests are its only callers.
 """
@@ -24,7 +26,8 @@ import signal
 import threading
 import time
 from fractions import Fraction
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence, TypeVar
+from operator import itemgetter, le
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, TypeVar
 
 from qblocks.charring import (
     FormalCharacter,
@@ -59,7 +62,7 @@ from qblocks.lattice import (
     weight_from_simple_coefficients,
 )
 from qblocks.sampling import sample_weights
-from qblocks.weyl import Perm, all_perms, rho_defect
+from qblocks.weyl import Perm, _usable_cpus, all_perms, rho_defect
 
 DEFAULT_SEED = 7
 
@@ -94,31 +97,40 @@ _Case = TypeVar("_Case")
 _MIN_SPLIT_CASES = 64
 
 
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+_Outcome = tuple[int, Optional[str], Optional[Exception]]
 
 
-def _odd(index: int) -> bool:
-    return index % 2 == 1
+def _evaluate(
+    case: Callable[[_Case], Optional[str]], items: Sequence[_Case], share: Iterable[int]
+) -> list[_Outcome]:
+    """(i, case(items[i]), None) for the indices i of the share, in order,
+    ending with (i, None, exception) at the first case that raises."""
+    outcomes: list[_Outcome] = []
+    for i in share:
+        try:
+            outcomes.append((i, case(items[i]), None))
+        except Exception as exc:
+            outcomes.append((i, None, exc))
+            break
+    return outcomes
 
 
 def _fork_join(
     case: Callable[[_Case], Optional[str]],
     items: Sequence[_Case],
-    in_child: Callable[[int], bool] = _odd,
+    in_child: Callable[[int], bool] = lambda i: i % 2 == 1,
 ) -> list[Optional[str]]:
     """case(item) for every item, as a list of problems in item order.
 
     With os.fork, at least 2 usable CPUs and at least _MIN_SPLIT_CASES
-    items, one forked child evaluates the items whose index satisfies
-    in_child and this process the others; otherwise this process evaluates
-    them all.  A process running other threads is not forked, since a lock
-    one of them holds would stay held in the child.  Each side goes through
-    its share in index order, so a case may rely on state left by an earlier
-    case of the same side.  As in a serial run, the exception of the
-    lowest-indexed raising case propagates.
+    items, one forked child runs _evaluate on the items whose index
+    satisfies in_child and this process on the others; otherwise this
+    process evaluates them all.  A process running other threads is not
+    forked, since a lock one of them holds would stay held in the child.
+    Each side goes through its share in index order, so a case may rely on
+    state left by an earlier case of the same side, and stops at its first
+    exception.  So every index below the lowest raising one is in the merged
+    outcomes, and, as in a serial run, that case's exception propagates.
     """
     if (
         not hasattr(os, "fork")
@@ -127,7 +139,7 @@ def _fork_join(
         or threading.active_count() > 1
     ):
         return [case(item) for item in items]
-    theirs = [i for i in range(len(items)) if in_child(i)]
+    indices = range(len(items))
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
@@ -142,8 +154,16 @@ def _fork_join(
             devnull = os.open(os.devnull, os.O_RDWR)
             for fd in (0, 1, 2):
                 os.dup2(devnull, fd)
+            outcomes = _evaluate(case, items, filter(in_child, indices))
+            try:
+                data = pickle.dumps(outcomes)
+                pickle.loads(data)
+            except Exception:
+                i, _, exc = outcomes[-1]
+                outcomes[-1] = (i, None, RuntimeError(f"case {i} raised {exc!r}"))
+                data = pickle.dumps(outcomes)
             with os.fdopen(write_fd, "wb") as pipe:
-                pipe.write(_child_report(case, items, theirs))
+                pipe.write(data)
             status = 0
         finally:
             os._exit(status)
@@ -151,15 +171,7 @@ def _fork_join(
     with os.fdopen(read_fd, "rb") as pipe:
         reaped = False
         try:
-            mine: dict[int, Optional[str]] = {}
-            raised: Optional[tuple[int, Exception]] = None
-            for i in range(len(items)):
-                if not in_child(i):
-                    try:
-                        mine[i] = case(items[i])
-                    except Exception as exc:
-                        raised = (i, exc)
-                        break
+            outcomes = _evaluate(case, items, itertools.filterfalse(in_child, indices))
             data = pipe.read()
             wait_status = os.waitpid(pid, 0)[1]
             reaped = True
@@ -168,38 +180,17 @@ def _fork_join(
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
     status = os.waitstatus_to_exitcode(wait_status)
-    if status:  # the child exits 0 only after writing its whole report
+    if status:  # the child exits 0 only after writing all its outcomes
         raise RuntimeError(
             f"the criterion's forked process exited with status {status} "
             "before reporting"
         )
-    failed_at, result = pickle.loads(data)
-    if failed_at is not None and (raised is None or failed_at < raised[0]):
-        raise result
-    if raised is not None:
-        raise raised[1]
-    mine.update(zip(theirs, result))
-    return [mine[i] for i in range(len(items))]
-
-
-def _child_report(
-    case: Callable[[_Case], Optional[str]], items: Sequence[_Case], indices: list[int]
-) -> bytes:
-    """The pickled (None, problems) of the given cases, or (index, exception)
-    for the first of them that raises; an exception that does not survive
-    pickling is replaced by a RuntimeError naming it."""
     problems = []
-    for i in indices:
-        try:
-            problems.append(case(items[i]))
-        except Exception as exc:
-            try:
-                data = pickle.dumps((i, exc))
-                pickle.loads(data)
-            except Exception:
-                data = pickle.dumps((i, RuntimeError(f"case {i} raised {exc!r}")))
-            return data
-    return pickle.dumps((None, problems))
+    for _, problem, exc in sorted(outcomes + pickle.loads(data), key=itemgetter(0)):
+        if exc is not None:
+            raise exc
+        problems.append(problem)
+    return problems
 
 
 def _criterion(
@@ -213,14 +204,10 @@ def _criterion(
         @functools.wraps(cases_of)
         def run(*args, **kwargs) -> CriterionResult:
             t0 = time.perf_counter()
-            cases = 0
-            first: Optional[str] = None
-            for problem in cases_of(*args, **kwargs):
-                cases += 1
-                if first is None:
-                    first = problem
+            problems = list(cases_of(*args, **kwargs))
+            first = next((p for p in problems if p is not None), None)
             return CriterionResult(
-                number, name, first is None, cases, time.perf_counter() - t0,
+                number, name, first is None, len(problems), time.perf_counter() - t0,
                 ok_detail if first is None else first, budget=budget,
             )
 
@@ -257,7 +244,12 @@ def check_linkage(
 ) -> _Problems:
     """Criterion 1: both orbit intersections are singletons and the
     connecting offset has subset-sum coefficient 1, exhaustively in w."""
-    yield from _fork_join(_linkage_case, _sweep(6, max_n, samples, seed, 1))
+    cases = _sweep(6, max_n, samples, seed, 1)
+    # Alternate weights go to the child, so each side builds the orbit keys
+    # of its own weights only; every rank has `samples` of them.
+    weights = list(dict.fromkeys(lam for _, lam, _ in cases))
+    theirs = set(weights[1::2])
+    yield from _fork_join(_linkage_case, cases, lambda i: cases[i][1] in theirs)
 
 
 def _restriction_case(case: _SweepCase) -> Optional[str]:
@@ -433,14 +425,22 @@ def _property_defect(rng: random.Random) -> Optional[str]:
     return None
 
 
-TieBreak = Callable[[list[Weight]], Weight]
+def _minimal(tuples: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The componentwise-minimal tuples, in sorted order: one pass suffices,
+    since a tuple componentwise below s sorts before s, and one below a
+    dropped tuple is below a kept one."""
+    kept: list[tuple[int, ...]] = []
+    for s in sorted(tuples):
+        if not any(all(map(le, t, s)) for t in kept):
+            kept.append(s)
+    return kept
 
 
 def _peel_extract(
     char: FormalCharacter,
     trunc: Truncation,
     super_blocks: bool = False,
-    tie_break: Optional[TieBreak] = None,
+    tie_break: Callable[[list[Weight]], Weight] = max,
 ) -> FlagMultiset:
     """Greedy oracle for filtration.verma_flag_extract.
 
@@ -453,9 +453,7 @@ def _peel_extract(
 
     The result does not depend on which maximal weight is chosen at each
     step; tie_break, given the sorted list of maximal weights, may pick any
-    of them.  The default takes the lexicographically largest, which is
-    always dominance-maximal, so the maximal set is only materialized when a
-    tie_break is supplied.
+    of them.  The default takes the largest.
     """
     n = char.rank
     if trunc.base.rank != n:
@@ -477,33 +475,23 @@ def _peel_extract(
             )
         cur[coeffs] = c
 
-    found: dict[tuple[int, ...], int] = {}
+    found: dict[Weight, int] = {}
     while cur:
-        if tie_break is None:
-            chosen = min(cur)
-        else:
-            maximal = [
-                s
-                for s in cur
-                if not any(t != s and all(a <= b for a, b in zip(t, s)) for t in cur)
-            ]
-            weights = sorted(base - weight_from_simple_coefficients(n, s) for s in maximal)
-            pick = tie_break(weights)
-            chosen = simple_root_coefficients(base - pick)
-            if chosen not in cur:
-                raise ValueError(f"tie_break returned a non-maximal weight: {pick}")
+        maximal = _minimal(cur)
+        weights = sorted(base - weight_from_simple_coefficients(n, s) for s in maximal)
+        pick = tie_break(weights)
+        chosen = simple_root_coefficients(base - pick)
+        if chosen not in maximal:
+            raise ValueError(f"tie_break returned a non-maximal weight: {pick}")
         coeff = cur[chosen]
         if coeff < 0:
-            raise FlagExtractionError(
-                "negative coefficient at "
-                f"{base - weight_from_simple_coefficients(n, chosen)}"
-            )
+            raise FlagExtractionError(f"negative coefficient at {pick}")
         mult, rem = divmod(coeff, divisor)
         if rem:
             raise FlagExtractionError(
                 f"coefficient {coeff} not divisible by the top coefficient {divisor}"
             )
-        found[chosen] = mult
+        found[pick] = mult
         budget = trunc.bound - sum(chosen)
         # mult copies of the block, which is divisor times its offset table;
         # mult * divisor == coeff after the divisibility check.
@@ -515,9 +503,7 @@ def _peel_extract(
                 cur[key] = merged
             else:
                 cur.pop(key, None)
-    return FlagMultiset(
-        (base - weight_from_simple_coefficients(n, s), m) for s, m in found.items()
-    )
+    return FlagMultiset(found)
 
 
 def _property_extraction(rng: random.Random) -> Optional[str]:
@@ -583,10 +569,7 @@ def check_property_suite(
     # The extraction family, which costs more than the other three
     # together, stays in this process, and with it the character builders
     # it calls.
-    extraction = 3 * cases_each
-    yield from _fork_join(
-        case, range(4 * cases_each), in_child=lambda i: i < extraction
-    )
+    yield from _fork_join(case, range(4 * cases_each), lambda i: i < 3 * cases_each)
 
 
 def run_all(

@@ -38,6 +38,13 @@ def check_rank(n: int, default: int = DEFAULT_MAX_RANK) -> None:
         )
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, which taskset may set below cpu_count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _rho_shift(n: int) -> tuple[int, ...]:
     """The integer shift rho' = (n-1, ..., 1, 0).
 

@@ -623,10 +623,25 @@ def test_worker_pool_sized_by_cores(capsys, monkeypatch, process_starts):
     code2, out2, _ = run_cli(serial + ["--workers", "6"], capsys)
     assert code1 == code2 == 0
     assert out1 == out2
-    procs = min(6, os.cpu_count() or 1)
+    procs = min(6, cli._usable_cpus())
     assert len(process_starts) == (procs if procs > 1 else 0)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
     del process_starts[:]
     code3, out3, _ = run_cli(serial + ["--workers", "6"], capsys)
     assert (code3, out3) == (0, out1)
+    assert process_starts == []
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity"), reason="no CPU affinity on this platform"
+)
+def test_worker_pool_capped_by_usable_cpus(capsys, monkeypatch, process_starts):
+    # As under taskset -c 0: the machine has CPUs this process may not use.
+    serial = ["mult", "--lambda", "5,2,1", "--w", "all"]
+    code1, out1, _ = run_cli(serial, capsys)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    code2, out2, _ = run_cli(serial + ["--workers", "6"], capsys)
+    assert code1 == code2 == 0
+    assert out2 == out1
     assert process_starts == []

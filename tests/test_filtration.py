@@ -3,7 +3,8 @@ both directions, and flag extraction by division against the greedy peel
 oracle."""
 
 import functools
-from operator import sub
+import random
+from operator import le, sub
 
 import pytest
 
@@ -43,7 +44,7 @@ from qblocks.lattice import (
     weight_from_simple_coefficients,
 )
 from qblocks.sampling import sample_weights
-from qblocks.selftest import _peel_extract
+from qblocks.selftest import _minimal, _peel_extract
 from qblocks.weyl import Perm, all_perms, dot_orbit, orbit, rho_defect
 
 
@@ -408,10 +409,18 @@ def test_extract_tie_break_choice_is_irrelevant():
 
 
 def test_peel_rejects_non_maximal_tie_break():
+    # mu - alpha is in the support but below mu: refused at the first pick.
     mu = wt("4,0")
     t = Truncation(mu, 2)
+    offered = []
+
+    def below_top(xs):
+        offered.append(xs)
+        return mu - wt("1,-1")
+
     with pytest.raises(ValueError, match="non-maximal"):
-        _peel_extract(verma_char(mu, t), t, tie_break=lambda xs: mu - wt("1,-1"))
+        _peel_extract(verma_char(mu, t), t, tie_break=below_top)
+    assert offered == [[mu]]
 
 
 def _outcome(extract, ch, t, super_blocks):
@@ -426,7 +435,9 @@ DIFFERENTIAL_LAMBDAS = {2: "3,1", 3: "5,2,1", 4: "7,5,3,1"}
 
 def test_division_matches_peel_oracle():
     # Flags and non-flags, plain and super blocks: the division and the
-    # greedy peel must return the same multiset or fail the same way.
+    # greedy peel must return the same multiset or fail the same way.  The
+    # peel's default pick is the largest maximal weight.
+    last = functools.partial(_peel_extract, tie_break=lambda xs: xs[-1])
     cases = 0
     errors = set()
     for n, coords in DIFFERENTIAL_LAMBDAS.items():
@@ -448,6 +459,7 @@ def test_division_matches_peel_oracle():
                         got = _outcome(verma_flag_extract, ch, t, super_blocks)
                         want = _outcome(_peel_extract, ch, t, super_blocks)
                         assert got == want, (n, w, bound, super_blocks)
+                        assert _outcome(last, ch, t, super_blocks) == want
                         if isinstance(want, tuple):
                             errors.add(want[1].split(" ")[0])
                         cases += 1
@@ -455,6 +467,22 @@ def test_division_matches_peel_oracle():
     # 3 characters, plain and super blocks.
     assert cases == 744
     assert errors == {"negative", "coefficient"}
+
+
+def test_minimal_scan_matches_pairwise_definition():
+    rng = random.Random(11)
+    for _ in range(500):
+        length = rng.randint(1, 4)
+        tuples = {
+            tuple(rng.randint(0, 4) for _ in range(length))
+            for _ in range(rng.randint(1, 40))
+        }
+        pairwise = sorted(
+            s
+            for s in tuples
+            if not any(t != s and all(map(le, t, s)) for t in tuples)
+        )
+        assert _minimal(tuples) == pairwise
 
 
 def _terms_built(ch):

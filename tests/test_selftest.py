@@ -1,6 +1,9 @@
 """Red criteria: a failing case is reported, every case still runs, and the
 selftest command and run_all see the failure."""
 
+import collections
+import os
+
 import pytest
 
 import qblocks.selftest as selftest
@@ -79,3 +82,55 @@ def test_odd_raw_multiplicity_at_even_rank_stops_criterion_3(monkeypatch):
     monkeypatch.setattr(selftest, "ind_block_mult", lambda lam, w: 3)
     with pytest.raises(ArithmeticError, match="odd raw multiplicity 3 cannot split"):
         selftest.check_induction_mult(max_n=2)
+
+
+def _cpus(monkeypatch, count):
+    monkeypatch.setattr(selftest, "_usable_cpus", lambda: count)
+
+
+def test_criterion_1_splits_by_weight(monkeypatch):
+    # The caller builds the orbit keys of the weights it runs, so it must run
+    # every case of a weight or none of them, and half the weights of a rank.
+    _cpus(monkeypatch, 2)
+    caller = os.getpid()
+    orig = selftest._linkage_case
+    here = []
+
+    def recording(case):
+        if os.getpid() == caller:
+            here.append(case)
+        return orig(case)
+
+    monkeypatch.setattr(selftest, "_linkage_case", recording)
+    res = selftest.check_linkage(max_n=4)
+    assert res.passed and res.cases == 320
+    seen = collections.Counter(lam for _, lam, _ in here)
+    per_rank = collections.Counter(lam.rank for lam in seen)
+    sweep = selftest._sweep(6, 4, 10, selftest.DEFAULT_SEED, 1)
+    total = collections.Counter(lam for _, lam, _ in sweep)
+    assert all(seen[lam] == total[lam] for lam in seen)
+    assert per_rank == {2: 5, 3: 5, 4: 5}
+
+
+# The gate at --max-n 5: (passed, cases, detail) for criteria 1 to 9.
+GATE_AT_5 = [
+    (True, 1520, "all singletons"),
+    (True, 456, "all equal k_dim(n)"),
+    (True, 456, "all equal"),
+    (True, 96, "routes agree"),
+    (True, 306, "identity holds"),
+    (True, 9, "masses and supports agree"),
+    (True, 456, "all below"),
+    (True, 18, "all counts agree"),
+    (True, 4000, "no failures"),
+]
+
+
+def test_gate_at_rank_5_on_one_and_two_cpus(monkeypatch):
+    results = []
+    for count in (1, 2):
+        _cpus(monkeypatch, count)
+        results.append(
+            [(r.passed, r.cases, r.detail) for r in selftest.run_all(seed=0, max_n=5)]
+        )
+    assert results[0] == results[1] == GATE_AT_5
