@@ -6,11 +6,13 @@ defined with.  The _criterion decorator runs it to the end, times it, counts
 the cases and returns a CriterionResult carrying the first problem; a mere
 verification failure never raises, so tests and the selftest command decide
 what to do with red results.
-The cases of a criterion are independent, so the large ones go through
-_fork_join, which hands a share of them to one forked process when a second
-CPU is usable.  Both sides run the same routine, _evaluate, on their share.
-Criterion 1 splits by weight, so that each side builds the orbit keys of
-its own weights only.
+The cases of a criterion are independent, so those whose split pays go
+through _fork_join, which hands a share of them to one forked process when
+a second CPU is usable.  Both sides run the same routine, _evaluate, on
+their share.  Criterion 1 splits by weight, so that each side builds the
+orbit keys of its own weights only; criteria 2, 3, 5's shift identity and 9
+split by case.  Criteria 4 and 7 run in one process, since a split would
+save them a few milliseconds at most.
 The greedy peel _peel_extract, the oracle for filtration.verma_flag_extract,
 lives here because criterion 9 and the tests are its only callers.
 """
@@ -127,8 +129,7 @@ def _fork_join(
     satisfies in_child and this process on the others; otherwise this
     process evaluates them all.  A process running other threads is not
     forked, since a lock one of them holds would stay held in the child.
-    Each side goes through its share in index order, so a case may rely on
-    state left by an earlier case of the same side, and stops at its first
+    Each side goes through its share in index order and stops at its first
     exception.  So every index below the lowest raising one is in the merged
     outcomes, and, as in a serial run, that case's exception propagates.
     """
@@ -288,15 +289,6 @@ def check_induction_mult(
     yield from _fork_join(_induction_case, _sweep(5, max_n, samples, seed, 100))
 
 
-def _flag_oracle_case(case: _SweepCase) -> Optional[str]:
-    n, lam, w = case
-    wl = w.act(lam)
-    trunc = Truncation(wl, full_support_height(n))
-    got = verma_flag_extract(super_verma_char(wl, trunc, even_only=True), trunc)
-    want = restriction_flag(lam, w)
-    return None if got == want else f"n={n} lambda={lam} w={w}: {got} != {want}"
-
-
 @_criterion(
     4, "flag extraction matches direct restriction flag", "routes agree", budget=30
 )
@@ -305,7 +297,12 @@ def check_flag_oracle(
 ) -> _Problems:
     """Criterion 4: flag extraction by division from the even-part
     super-Verma character reproduces the directly computed restriction flag."""
-    yield from _fork_join(_flag_oracle_case, _sweep(4, max_n, samples, seed, 1000))
+    for n, lam, w in _sweep(4, max_n, samples, seed, 1000):
+        wl = w.act(lam)
+        trunc = Truncation(wl, full_support_height(n))
+        got = verma_flag_extract(super_verma_char(wl, trunc, even_only=True), trunc)
+        want = restriction_flag(lam, w)
+        yield None if got == want else f"n={n} lambda={lam} w={w}: {got} != {want}"
 
 
 def _shift_identity_case(case: tuple[int, Perm]) -> Optional[str]:
@@ -341,18 +338,14 @@ def check_mass_law(max_n: Optional[int] = None) -> _Problems:
         yield None if ok else f"enumeration oracle disagrees at n={n}"
 
 
-def _orbit_maximality_case(case: _SweepCase) -> Optional[str]:
-    n, lam, u = case
-    return None if leq(u.act(lam), lam) else f"n={n} lambda={lam} u={u}"
-
-
 @_criterion(7, "dominant weights top their orbits", "all below")
 def check_orbit_maximality(
     seed: int = DEFAULT_SEED, samples: int = 3, max_n: Optional[int] = None
 ) -> _Problems:
     """Criterion 7: every plain-orbit point of a dominant weight lies below
     it in dominance order."""
-    yield from _fork_join(_orbit_maximality_case, _sweep(5, max_n, samples, seed, 41))
+    for n, lam, u in _sweep(5, max_n, samples, seed, 41):
+        yield None if leq(u.act(lam), lam) else f"n={n} lambda={lam} u={u}"
 
 
 @_criterion(8, "thick multiplicity against monomial oracle", "all counts agree")
@@ -553,23 +546,15 @@ def check_property_suite(
         ("rho defect identity", _property_defect),
         ("extraction order independence", _property_extraction),
     ]
-    rngs: dict[int, random.Random] = {}
 
     def case(i: int) -> Optional[str]:
-        # Each family draws from its own generator in case order; a family
-        # runs whole on one side of the split, so the draws are the serial
-        # ones.
-        offset, k = divmod(i, cases_each)
-        if k == 0:
-            rngs[offset] = random.Random(seed + 5000 * (offset + 1))
-        name, fn = families[offset]
-        problem = fn(rngs[offset])
+        # A generator of its own makes a case's draws independent of which
+        # side of the split runs it, and of the cases before it.
+        name, fn = families[i // cases_each]
+        problem = fn(random.Random(f"{seed}/{i}"))
         return f"{name}: {problem}" if problem else None
 
-    # The extraction family, which costs more than the other three
-    # together, stays in this process, and with it the character builders
-    # it calls.
-    yield from _fork_join(case, range(4 * cases_each), lambda i: i < 3 * cases_each)
+    yield from _fork_join(case, range(4 * cases_each))
 
 
 def run_all(

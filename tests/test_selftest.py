@@ -134,3 +134,9 @@ def test_gate_at_rank_5_on_one_and_two_cpus(monkeypatch):
             [(r.passed, r.cases, r.detail) for r in selftest.run_all(seed=0, max_n=5)]
         )
     assert results[0] == results[1] == GATE_AT_5
+
+
+def test_property_suite_passes_at_twenty_seeds():
+    for seed in range(20):
+        res = selftest.check_property_suite(seed=seed, cases_each=50)
+        assert (res.passed, res.cases, res.detail) == (True, 200, "no failures"), seed

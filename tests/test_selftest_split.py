@@ -47,10 +47,8 @@ SPLIT_CRITERIA = [
     (selftest.check_linkage, {"max_n": 4}),
     (selftest.check_restriction_mult, {"max_n": 4}),
     (selftest.check_induction_mult, {"max_n": 4}),
-    (selftest.check_flag_oracle, {"max_n": 4}),
     # Its shift identity has 33 cases up to n = 4, too few to split.
     (selftest.check_multiset_identity, {"max_n": 5}),
-    (selftest.check_orbit_maximality, {"max_n": 4}),
     (selftest.check_property_suite, {"cases_each": 20}),
 ]
 
@@ -70,18 +68,20 @@ def test_split_and_serial_criteria_agree(monkeypatch, forks, check, kwargs):
 
 
 def test_property_families_draw_the_serial_values(monkeypatch, forks):
-    # Every case reports the next value its family's generator draws, so the
-    # merged lists show that each generator runs in case order on its side.
+    # Each case reports its generator's first draw.  Equal merged lists show
+    # that a case draws the same values on either side of the split, 80
+    # distinct values that no two cases share a generator, and a case run
+    # alone afterwards that it does not depend on the cases before it.
     families = ["_property_leq", "_property_actions", "_property_defect",
                 "_property_extraction"]
     for name in families:
-        monkeypatch.setattr(selftest, name, lambda rng, name=name: f"{rng.random()}")
-    merged = []
+        monkeypatch.setattr(selftest, name, lambda rng: f"{rng.random()}")
+    runs = []
     fork_join = selftest._fork_join
 
-    def recording(*args, **kwargs):
-        merged.append(fork_join(*args, **kwargs))
-        return merged[-1]
+    def recording(case, *args):
+        runs.append((case, fork_join(case, *args)))
+        return runs[-1][1]
 
     monkeypatch.setattr(selftest, "_fork_join", recording)
     _cpus(monkeypatch, 1)
@@ -89,14 +89,19 @@ def test_property_families_draw_the_serial_values(monkeypatch, forks):
     _cpus(monkeypatch, 2)
     selftest.check_property_suite(cases_each=20)
     assert len(forks) == 1
-    serial, split = merged
+    (case, serial), (_, split) = runs
     assert split == serial and len(set(serial)) == 80
+    for i in [0, 1, 6, 19, 20, 33, 58, 61, 79]:
+        assert case(i) == serial[i]
 
 
 def test_small_criteria_stay_in_one_process(monkeypatch, forks):
     _cpus(monkeypatch, 2)
     assert selftest.check_restriction_mult(max_n=3).cases == 24
     assert selftest.check_property_suite(cases_each=10).cases == 40
+    # Criteria 4 and 7 never fork: a split would save a few milliseconds at most.
+    assert selftest.check_flag_oracle(max_n=4).cases == 96
+    assert selftest.check_orbit_maximality(max_n=4).cases == 96
     assert not forks
 
 
