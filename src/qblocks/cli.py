@@ -12,8 +12,8 @@ carry what differs: the row builder, the verdict field and the TSV headers.
 Every command that enumerates a symmetric group checks its rank once, before
 it enumerates anything or builds a row, against QBLOCKS_MAX_RANK or, when
 that is unset, CLI_DEFAULT_MAX_RANK.  flag then refuses, as early, a
-truncation region of more than _MAX_FLAG_REGION points, and mult a table of
-more than _MAX_MULT_ENTRIES flag entries.
+truncation region of more than _MAX_FLAG_REGION points, and every sweep
+refuses rows whose work exceeds its command's cap in _WORK_CAPS.
 """
 
 from __future__ import annotations
@@ -66,8 +66,10 @@ CLI_DEFAULT_MAX_RANK = 7
 # 3.3-4.6 s and 139 MB (2 cores, Python 3.11.7).
 _MAX_FLAG_REGION = comb(40, 5)
 
-# The n = 6 --w all mult table: 720 rows of |supp P(6)| = 2,932 flag entries.
-_MAX_MULT_ENTRIES = 720 * 2_932
+# Rows x per-row work per sweep, each the largest sweep the CLI promises: one
+# weight over all w at n = 6 for mult and flag (720 rows of |supp P(6)| =
+# 2,932 flag entries) and at n = 7 for linkage (5,040 rows of 7! points).
+_WORK_CAPS = {"mult": 720 * 2_932, "flag": 720 * 2_932, "linkage": 5_040 * 5_040}
 
 
 def _flag_height(n: int, height: Optional[int]) -> int:
@@ -88,27 +90,25 @@ def _flag_height(n: int, height: Optional[int]) -> int:
     return bound
 
 
-def _check_mult_rows(n: int, rows: int) -> None:
-    """Refuse a mult sweep whose rows, each with one flag entry per weight of
-    supp P(n), exceed _MAX_MULT_ENTRIES entries.  The rows are compared
-    alone first, so P(n) is built only when they fit."""
-    if rows > _MAX_MULT_ENTRIES:
-        raise GuardError(
-            f"mult at n = {n} asks for {rows:,} rows, more than the "
-            f"{_MAX_MULT_ENTRIES:,} flag entries it may write"
-        )
-    support = len(subset_sum_P(n))
-    if rows * support > _MAX_MULT_ENTRIES:
-        raise GuardError(
-            f"mult at n = {n} would write {rows:,} rows of {support:,} flag "
-            f"entries, more than {_MAX_MULT_ENTRIES:,}; use "
-            f"{_MAX_MULT_ENTRIES // support:,} rows or fewer"
-        )
+def _check_rows(command: str, n: int, rows: int) -> None:
+    """Refuse rows that, at one unit per weight of supp P(n) (mult, flag) or
+    per n! orbit point (linkage), exceed _WORK_CAPS[command] units.  Rows are
+    compared alone first, so P(n) is built only when they could fit."""
+    cap = _WORK_CAPS[command]
+    unit = "orbit points" if command == "linkage" else "flag entries"
+    if rows > cap:
+        raise GuardError(f"{command} at n = {n} asks for {rows:,} rows, "
+                         f"more than the {cap:,} {unit} it may build")
+    work = factorial(n) if command == "linkage" else len(subset_sum_P(n))
+    if rows * work > cap:
+        raise GuardError(f"{command} at n = {n} would build {rows:,} rows of "
+                         f"{work:,} {unit}, more than {cap:,}; use "
+                         f"{cap // work:,} rows or fewer")
 
 
 def _resolve_sweep(args) -> tuple[int, dict, list[Weight], list[Perm]]:
     """Validate the arguments, then apply the rank guard, flag's region guard
-    and mult's work guard before sampling any weight.  The dict holds flag's
+    and the row guard before sampling any weight.  The dict holds flag's
     height, fixed per sweep."""
     lam = lo = hi = None
     if args.workers < 1:
@@ -137,9 +137,8 @@ def _resolve_sweep(args) -> tuple[int, dict, list[Weight], list[Perm]]:
         raise ValueError(f"--w has rank {w.rank}, expected {n}")
     check_rank(n, CLI_DEFAULT_MAX_RANK)
     fixed = {"height": _flag_height(n, args.height)} if args.command == "flag" else {}
-    if args.command == "mult":
-        samples = 1 if lam is not None else args.samples
-        _check_mult_rows(n, samples * (factorial(n) if w is None else 1))
+    samples = 1 if lam is not None else args.samples
+    _check_rows(args.command, n, samples * (factorial(n) if w is None else 1))
     if lam is None:
         lams = sample_weights(n, args.samples, seed=args.seed, lo=lo, hi=hi)
     else:

@@ -445,6 +445,42 @@ def test_verma_coefficients_count_partitions(bound):
             assert ch.coefficient(v) == _partition_count_n3(x, y)
 
 
+@pytest.mark.parametrize("top", [
+    (2, 1, 0), (4, 1, 0),
+    (1, 1, 0, 0), (2, 1, 0, 0), (3, 2, 1, 0),
+    (1, 1, 0, 0, 0), (2, 1, 0, 0, 0),
+])
+def test_verma_table_satisfies_kostant_multiplicity_formula(top):
+    # m_top(mu) = sum over w of sgn(w) K(w(top + rho') - (mu + rho')), where
+    # the Kostant partition function K is read from the Verma offset table
+    # and m_top is the Gelfand-Tsetlin count, which uses neither kernel.
+    # Every mu = top - nu with height(nu) <= H is checked, so the zeros
+    # between the weights of V(top) are checked too.
+    n = len(top)
+    lam = Weight(top)
+    shift = Weight(range(n - 1, -1, -1))
+    H = height(lam - Weight(reversed(top)))
+    pk = _Packing(n, H)
+    table = _offset_table(n, H, False)
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    signed = [
+        ((-1) ** sum(w(i) > w(j) for i, j in pairs), w.act(lam + shift))
+        for w in all_perms(n)
+    ]
+    kostka = _gelfand_tsetlin_weights(top)
+    region = set()
+    for coeffs in itertools.product(range(H + 1), repeat=n - 1):
+        if sum(coeffs) > H:
+            continue
+        mu = lam - weight_from_simple_coefficients(n, coeffs)
+        keys = [(sign, pk.key_below(base, mu + shift)) for sign, base in signed]
+        kostant = sum(sign * table[key] for sign, key in keys if key is not None)
+        assert kostant == kostka[mu.coords], mu
+        region.add(mu.coords)
+    # Every weight of V(top) lies in the region, so none went unchecked.
+    assert kostka.keys() <= region
+
+
 def test_super_top_coefficients():
     mu = wt("5,2,1")
     t = Truncation(mu, 3)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 import types
+from math import factorial
 
 import pytest
 
@@ -519,49 +520,98 @@ def test_flag_region_counts_offset_table_points(monkeypatch, n, height):
     assert f"has {points:,} points" in str(refused.value)
 
 
-@pytest.mark.parametrize("argv, fits", [
-    (["--n", "7", "--w", "all"], "57"),
-    (["--n", "7", "--lambda=13,9,6,4,2,-7,-11", "--w", "all"], "57"),
-    (["--n", "5", "--samples", "61"], "7,254"),
-])
-def test_mult_work_guard_exits_three(capsys, monkeypatch, argv, fits):
+def _refused_at_once(capsys, monkeypatch, argv, fits):
     def never(*args, **kwargs):
         raise AssertionError("sample_weights called before the work guard")
 
     monkeypatch.setattr(cli, "sample_weights", never)
     t0 = time.perf_counter()
-    code, out, err = run_cli(["mult"] + argv, capsys)
+    code, out, err = run_cli(argv, capsys)
     assert time.perf_counter() - t0 < 2.0
     assert code == 3
     assert out == ""
     assert f"use {fits} rows or fewer" in err
 
 
+@pytest.mark.parametrize("argv, fits", [
+    (["--n", "7", "--w", "all"], "57"),
+    (["--n", "7", "--lambda=13,9,6,4,2,-7,-11", "--w", "all"], "57"),
+    (["--n", "5", "--samples", "61"], "7,254"),
+])
+def test_mult_work_guard_exits_three(capsys, monkeypatch, argv, fits):
+    _refused_at_once(capsys, monkeypatch, ["mult"] + argv, fits)
+
+
+@pytest.mark.parametrize("argv, fits", [
+    (["linkage", "--n", "7", "--w", "all", "--samples", "1000"], "5,040"),
+    (["linkage", "--n", "7", "--w", "all", "--samples", "2"], "5,040"),
+    (["linkage", "--n", "6", "--w", "all", "--samples", "50"], "35,280"),
+    (["flag", "--n", "6", "--w", "all", "--samples", "40"], "720"),
+    (["flag", "--n", "7", "--lambda=13,9,6,4,2,-7,-11", "--w", "all",
+      "--height", "24"], "57"),
+    (["mult", "--n", "7", "--w", "all"], "57"),
+])
+def test_work_guard_exits_three(capsys, monkeypatch, argv, fits):
+    _refused_at_once(capsys, monkeypatch, argv, fits)
+
+
+def test_work_caps_are_the_contract_sweep_estimates():
+    # Each cap is the largest one-weight --w all sweep the CLI promises:
+    # n = 6 for mult and flag, n = 7 for linkage.
+    assert cli._WORK_CAPS == {
+        "mult": factorial(6) * len(charring.subset_sum_P(6)),
+        "flag": factorial(6) * len(charring.subset_sum_P(6)),
+        "linkage": factorial(7) * factorial(7),
+    }
+
+
+@pytest.mark.parametrize("argv", [
+    ["linkage", "--n", "7", "--w", "all"],
+    ["linkage", "--n", "6", "--w", "all", "--samples", "49"],
+    ["flag", "--n", "6", "--w", "all"],
+])
+def test_contract_sweeps_resolve_at_their_caps(argv):
+    command = argv[0]
+    n, _, lams, perms = cli._resolve_sweep(cli.build_parser().parse_args(argv))
+    rows = len(lams) * len(perms)
+    work = factorial(n) if command == "linkage" else len(charring.subset_sum_P(n))
+    assert rows * work == cli._WORK_CAPS[command]
+    with pytest.raises(GuardError, match=f"use {rows:,} rows or fewer"):
+        cli._check_rows(command, n, rows + 1)
+
+
 def test_mult_work_guard_admits_the_n6_table():
     args = cli.build_parser().parse_args(["mult", "--n", "6", "--w", "all"])
     n, _, lams, perms = cli._resolve_sweep(args)
-    assert n == 6 and len(lams) * len(perms) * 2_932 == cli._MAX_MULT_ENTRIES
+    assert n == 6 and len(lams) * len(perms) * 2_932 == cli._WORK_CAPS["mult"]
+    with pytest.raises(GuardError, match="use 720 rows or fewer"):
+        cli._check_rows("mult", 6, 721)
 
 
 def test_mult_work_guard_boundary(capsys, monkeypatch):
-    # |supp P(3)| = 7, so a cap of 42 entries fits the 6 rows of one weight
-    # over all w, and 6 is the largest row count named.
-    monkeypatch.setattr(cli, "_MAX_MULT_ENTRIES", 6 * 7)
-    code, out, err = run_cli(["mult", "--n", "3", "--w", "all"], capsys)
-    assert (code, err) == (0, "")
-    assert len(json.loads(out)["rows"]) == 6
-    code, out, err = run_cli(
-        ["mult", "--n", "3", "--w", "2 1 3", "--samples", "6"], capsys
-    )
-    assert (code, err) == (0, "")
-    code, out, err = run_cli(["mult", "--n", "3", "--samples", "2"], capsys)
-    assert (code, out) == (3, "")
-    assert "12 rows of 7 flag entries" in err and "use 6 rows or fewer" in err
-    code, out, err = run_cli(
-        ["mult", "--n", "3", "--w", "2 1 3", "--samples", "7"], capsys
-    )
-    assert (code, out) == (3, "")
-    assert "use 6 rows or fewer" in err
+    # At n = 3 a mult or flag row does |supp P(3)| = 7 units of work and a
+    # linkage row 3! = 6, so a cap of 6 rows' work fits the 6 rows of one
+    # weight over all w, and 6 is the largest row count named.
+    for command, work, unit in (
+        ("mult", 7, "flag entries"), ("flag", 7, "flag entries"),
+        ("linkage", 6, "orbit points"),
+    ):
+        monkeypatch.setitem(cli._WORK_CAPS, command, 6 * work)
+        code, out, err = run_cli([command, "--n", "3", "--w", "all"], capsys)
+        assert (code, err) == (0, "")
+        assert len(json.loads(out)["rows"]) == 6
+        code, out, err = run_cli(
+            [command, "--n", "3", "--w", "2 1 3", "--samples", "6"], capsys
+        )
+        assert (code, err) == (0, "")
+        code, out, err = run_cli([command, "--n", "3", "--samples", "2"], capsys)
+        assert (code, out) == (3, "")
+        assert f"12 rows of {work} {unit}" in err and "use 6 rows or fewer" in err
+        code, out, err = run_cli(
+            [command, "--n", "3", "--w", "2 1 3", "--samples", "7"], capsys
+        )
+        assert (code, out) == (3, "")
+        assert "use 6 rows or fewer" in err
 
 
 def test_mult_work_guard_compares_rows_before_building_P(capsys, monkeypatch):
@@ -569,7 +619,7 @@ def test_mult_work_guard_compares_rows_before_building_P(capsys, monkeypatch):
         raise AssertionError("subset_sum_P built for rows that cannot fit")
 
     monkeypatch.setattr(cli, "subset_sum_P", never)
-    monkeypatch.setattr(cli, "_MAX_MULT_ENTRIES", 5)
+    monkeypatch.setitem(cli._WORK_CAPS, "mult", 5)
     code, out, err = run_cli(["mult", "--n", "3", "--w", "all"], capsys)
     assert (code, out) == (3, "")
     assert "asks for 6 rows, more than the 5 flag entries" in err
