@@ -34,7 +34,7 @@ from qblocks.charring import (
     super_verma_char,
 )
 from qblocks.filtration import (
-    FlagMultiset,
+    _flag_within,
     ind_block_mult,
     ind_block_mult_split,
     linkage_check,
@@ -223,8 +223,7 @@ def _flag_row(payload) -> dict:
     wl = w.act(lam)
     trunc = Truncation(wl, bound)
     extracted = verma_flag_extract(super_verma_char(wl, trunc, even_only=True), trunc)
-    full = restriction_flag(lam, w)
-    direct = FlagMultiset((wt, m) for wt, m in full.items() if trunc.admits(wt))
+    direct = _flag_within(restriction_flag(lam, w), trunc)
     return {
         "lambda": str(lam),
         "w": str(w),

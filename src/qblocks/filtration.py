@@ -6,8 +6,11 @@ an independent route to the restriction flag.
 The orbit-intersection check runs on one codec, _Packing's simple-root
 digits: every plain and dot orbit point x of a dominant lam lies below lam,
 so lam - x has a key, cached once per lam, and each digit gets one guard bit
-above it, so that subtracting two keys shows at once whether the difference
-lies in the positive cone (see _orbit_hits)."""
+above it, which no key of P sets, so that the difference of two keys is a
+key of P only when it lies in the positive cone (see _orbit_hits).
+
+_flag_within cuts a flag down to a truncation region with one packing: the
+flag command's direct route and criterion 4 below full height use it."""
 
 from __future__ import annotations
 
@@ -115,33 +118,32 @@ def _hit_width(lam: Weight) -> int:
 
 
 @lru_cache(maxsize=None)
-def _hit_support(n: int, width: int) -> tuple[_Packing, int, dict[int, int]]:
-    """The packing of digit width `width`, its guard mask, and P's support
-    re-keyed by it, each key mapped to its subset-sum coefficient.  The
-    cached dicts are shared by every caller and never mutated.
+def _hit_support(n: int, width: int) -> tuple[_Packing, dict[int, int]]:
+    """The packing of digit width `width` and P's support re-keyed by it,
+    each key mapped to its subset-sum coefficient.  The cached dict is
+    shared by every caller and never mutated.
 
     _Packing(n, 2^width - 2) gives every digit a field of at least
     width + 1 bits, and a digit never exceeds its key's height, so the top
-    bit of every digit field is clear in every key: that bit is the guard.
+    bit of every digit field, its guard bit, is clear in every key.
     """
     pk = _Packing(n, (1 << width) - 2)
-    guard = sum(1 << (pos * pk.shift + pk.shift - 1) for pos in range(n - 1))
     zero = Weight.zero(n)
     coeffs = {pk.key_below(p, zero): c for p, c in subset_sum_P(n).items()}
-    return pk, guard, coeffs
+    return pk, coeffs
 
 
 @lru_cache(maxsize=16)
 def _orbit_keys(
     lam: Weight,
-) -> tuple[int, dict[int, int], dict[Weight, int], dict[Weight, int]]:
-    """The guard mask, P's coefficients by key, and the key of lam - x for
-    every point x of the plain and of the dot orbit of a dominant lam.
-    Every such point lies below lam, so each lam - x has a key."""
-    pk, guard, coeffs = _hit_support(lam.rank, _hit_width(lam))
+) -> tuple[dict[int, int], dict[Weight, int], dict[Weight, int]]:
+    """P's coefficients by key, and the key of lam - x for every point x of
+    the plain and of the dot orbit of a dominant lam.  Every such point lies
+    below lam, so each lam - x has a key."""
+    pk, coeffs = _hit_support(lam.rank, _hit_width(lam))
     plain = {u: pk.key_below(lam, u) for u in orbit(lam)}
     dot = {v: pk.key_below(lam, v) for v in dot_orbit(lam)}
-    return guard, coeffs, plain, dot
+    return coeffs, plain, dot
 
 
 def _orbit_hits(lam: Weight, w: Perm) -> tuple[dict[Weight, int], dict[Weight, int]]:
@@ -153,26 +155,16 @@ def _orbit_hits(lam: Weight, w: Perm) -> tuple[dict[Weight, int], dict[Weight, i
     (lam - w.lam) - (lam - u), and w(lam) - v is (lam - v) - (lam - w(lam)).
     Subtracting two keys digit by digit gives the key of the difference
     exactly when no digit goes negative.  Otherwise the lowest field that
-    borrows wraps to at least 2^(shift - 1), which sets its guard bit; a
-    difference whose digits are all nonnegative sets none, since they are at
-    most the first key's.  So one subtraction, one guard-mask test and one
-    lookup in P's keys decide each point.  No key of P has a guard bit set,
-    so the lookup alone would be exact; the mask test comes first because
-    most points borrow, and it is cheaper than hashing the difference.
+    borrows wraps to at least 2^(shift - 1), which sets its guard bit, or
+    the whole difference goes negative.  No key of P has a guard bit set or
+    is negative, so one subtraction and one lookup in P's keys decide each
+    point.
     """
-    guard, coeffs, plain, dot = _orbit_keys(lam)
+    coeffs, plain, dot = _orbit_keys(lam)
     a = dot[w.dot(lam)]
     b = plain[w.act(lam)]
-    plain_hits = {
-        u: coeffs[d]
-        for u, k in plain.items()
-        if not (d := a - k) & guard and d in coeffs
-    }
-    dot_hits = {
-        v: coeffs[d]
-        for v, k in dot.items()
-        if not (d := k - b) & guard and d in coeffs
-    }
+    plain_hits = {u: coeffs[d] for u, k in plain.items() if (d := a - k) in coeffs}
+    dot_hits = {v: coeffs[d] for v, k in dot.items() if (d := k - b) in coeffs}
     return plain_hits, dot_hits
 
 
@@ -227,6 +219,15 @@ def restriction_flag(lam: Weight, w: Perm) -> FlagMultiset:
     _require(lam, "restriction_flag", strongly_typical=True)
     k = k_dim(n)
     return FlagMultiset((wl - p, k * c) for p, c in subset_sum_P(n).items())
+
+
+def _flag_within(flag: FlagMultiset, trunc: Truncation) -> FlagMultiset:
+    """The entries of flag that trunc admits, all tested on one packing."""
+    base = trunc.base
+    pk = _Packing(base.rank, trunc.bound)
+    return FlagMultiset(
+        {wt: m for wt, m in flag._entries.items() if pk.key_below(base, wt) is not None}
+    )
 
 
 def res_block_mult(lam: Weight, w: Perm) -> int:

@@ -7,12 +7,11 @@ the cases and returns a CriterionResult carrying the first problem; a mere
 verification failure never raises, so tests and the selftest command decide
 what to do with red results.
 The cases of a criterion are independent, so those whose split pays go
-through _fork_join, which hands a share of them to one forked process when
-a second CPU is usable.  Both sides run the same routine, _evaluate, on
-their share.  Criterion 1 splits by weight, so that each side builds the
-orbit keys of its own weights only; criteria 2, 3, 5's shift identity and 9
-split by case.  Criteria 4 and 7 run in one process, since a split would
-save them a few milliseconds at most.
+through _fork_join, which hands the odd-indexed ones to one forked process
+when a second CPU is usable.  Both sides run the same routine, _evaluate, on
+their share.  Criteria 1, 2, 3, 5's shift identity and 9 split this way;
+criteria 4 and 7 run in one process, since a split would save them a few
+milliseconds at most.
 The greedy peel _peel_extract, the oracle for filtration.verma_flag_extract,
 lives here because criterion 9 and the tests are its only callers.
 """
@@ -48,6 +47,7 @@ from qblocks.charring import (
 from qblocks.filtration import (
     FlagExtractionError,
     FlagMultiset,
+    _flag_within,
     _parity_split,
     ind_block_mult,
     linkage_check,
@@ -118,17 +118,15 @@ def _evaluate(
 
 
 def _fork_join(
-    case: Callable[[_Case], Optional[str]],
-    items: Sequence[_Case],
-    in_child: Callable[[int], bool] = lambda i: i % 2 == 1,
+    case: Callable[[_Case], Optional[str]], items: Sequence[_Case]
 ) -> list[Optional[str]]:
     """case(item) for every item, as a list of problems in item order.
 
     With os.fork, at least 2 usable CPUs and at least _MIN_SPLIT_CASES
-    items, one forked child runs _evaluate on the items whose index
-    satisfies in_child and this process on the others; otherwise this
-    process evaluates them all.  A process running other threads is not
-    forked, since a lock one of them holds would stay held in the child.
+    items, one forked child runs _evaluate on the odd-indexed items and this
+    process on the even-indexed ones; otherwise this process evaluates them
+    all.  A process running other threads is not forked, since a lock one of
+    them holds would stay held in the child.
     Each side goes through its share in index order and stops at its first
     exception.  So every index below the lowest raising one is in the merged
     outcomes, and, as in a serial run, that case's exception propagates.
@@ -140,7 +138,6 @@ def _fork_join(
         or threading.active_count() > 1
     ):
         return [case(item) for item in items]
-    indices = range(len(items))
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
@@ -155,7 +152,7 @@ def _fork_join(
             devnull = os.open(os.devnull, os.O_RDWR)
             for fd in (0, 1, 2):
                 os.dup2(devnull, fd)
-            outcomes = _evaluate(case, items, filter(in_child, indices))
+            outcomes = _evaluate(case, items, range(1, len(items), 2))
             try:
                 data = pickle.dumps(outcomes)
                 pickle.loads(data)
@@ -172,7 +169,7 @@ def _fork_join(
     with os.fdopen(read_fd, "rb") as pipe:
         reaped = False
         try:
-            outcomes = _evaluate(case, items, itertools.filterfalse(in_child, indices))
+            outcomes = _evaluate(case, items, range(0, len(items), 2))
             data = pipe.read()
             wait_status = os.waitpid(pid, 0)[1]
             reaped = True
@@ -245,12 +242,7 @@ def check_linkage(
 ) -> _Problems:
     """Criterion 1: both orbit intersections are singletons and the
     connecting offset has subset-sum coefficient 1, exhaustively in w."""
-    cases = _sweep(6, max_n, samples, seed, 1)
-    # Alternate weights go to the child, so each side builds the orbit keys
-    # of its own weights only; every rank has `samples` of them.
-    weights = list(dict.fromkeys(lam for _, lam, _ in cases))
-    theirs = set(weights[1::2])
-    yield from _fork_join(_linkage_case, cases, lambda i: cases[i][1] in theirs)
+    yield from _fork_join(_linkage_case, _sweep(6, max_n, samples, seed, 1))
 
 
 def _restriction_case(case: _SweepCase) -> Optional[str]:
@@ -296,13 +288,23 @@ def check_flag_oracle(
     seed: int = DEFAULT_SEED, samples: int = 3, max_n: Optional[int] = None
 ) -> _Problems:
     """Criterion 4: flag extraction by division from the even-part
-    super-Verma character reproduces the directly computed restriction flag."""
-    for n, lam, w in _sweep(4, max_n, samples, seed, 1000):
-        wl = w.act(lam)
-        trunc = Truncation(wl, full_support_height(n))
-        got = verma_flag_extract(super_verma_char(wl, trunc, even_only=True), trunc)
-        want = restriction_flag(lam, w)
-        yield None if got == want else f"n={n} lambda={lam} w={w}: {got} != {want}"
+    super-Verma character reproduces the directly computed restriction flag,
+    cut down to the region below full height; each rank's cases cycle
+    through the heights 0..full_support_height(n)."""
+    cases = _sweep(4, max_n, samples, seed, 1000)
+    for n, group in itertools.groupby(cases, key=itemgetter(0)):
+        top = full_support_height(n)
+        for j, (_, lam, w) in enumerate(group):
+            height = j % (top + 1)
+            wl = w.act(lam)
+            trunc = Truncation(wl, height)
+            got = verma_flag_extract(super_verma_char(wl, trunc, even_only=True), trunc)
+            want = restriction_flag(lam, w)
+            if height < top:
+                want = _flag_within(want, trunc)
+            yield None if got == want else (
+                f"n={n} lambda={lam} w={w} height={height}: {got} != {want}"
+            )
 
 
 def _shift_identity_case(case: tuple[int, Perm]) -> Optional[str]:

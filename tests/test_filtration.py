@@ -21,6 +21,7 @@ from qblocks.charring import (
 )
 from qblocks.filtration import (
     FlagExtractionError,
+    _flag_within,
     _hit_support,
     _hit_width,
     _orbit_hits,
@@ -194,10 +195,12 @@ def test_linkage_matches_scan_where_digits_cross_a_power_of_two(k, top):
     d = (1 << k) + top
     for lam in (Weight([d - 1, 0]), Weight([d - 2, d // 2 - 1, 0])):
         assert _largest_digit(lam) == d
-        pk, guard, _ = _hit_support(lam.rank, _hit_width(lam))
-        # The guard bit sits above every digit the keys hold.
+        pk, coeffs = _hit_support(lam.rank, _hit_width(lam))
+        # Each field's top bit, its guard, sits above every digit the keys
+        # hold, and no key of P sets one, so a borrow never looks up a key.
         assert d < 1 << (pk.shift - 1)
-        assert guard.bit_count() == lam.rank - 1
+        guard = sum(1 << (pos * pk.shift + pk.shift - 1) for pos in range(lam.rank - 1))
+        assert not any(key & guard for key in coeffs)
         _assert_linkage_matches_scan(lam)
 
 
@@ -267,6 +270,24 @@ def test_restriction_flag_rank3_entries():
 def test_restriction_flag_requires_strong_typicality():
     with pytest.raises(PreconditionError, match="strongly typical"):
         restriction_flag(wt("2,0"), Perm.identity(2))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_flag_within_matches_admits_filter(n):
+    # _flag_within against Truncation.admits on every entry: every w and
+    # height 0..H up to n = 4, six sampled w at n = 5.  Besides w(lam), the
+    # region is also based one highest root lower, so that entries fall
+    # outside its cone as well as above its height.
+    (lam,) = sample_weights(n, 1, seed=110 + n)
+    top = Weight([1] + [0] * (n - 2) + [-1])
+    perms = list(all_perms(n))
+    for w in perms if n < 5 else random.Random(115).sample(perms, 6):
+        flag = restriction_flag(lam, w)
+        for base in (w.act(lam), w.act(lam) - top):
+            for height in range(full_support_height(n) + 1):
+                trunc = Truncation(base, height)
+                want = FlagMultiset((v, m) for v, m in flag.items() if trunc.admits(v))
+                assert _flag_within(flag, trunc) == want, (lam, w, base, height)
 
 
 def test_res_block_mult_examples():

@@ -2,12 +2,12 @@
 selftest command and run_all see the failure."""
 
 import collections
-import os
 
 import pytest
 
+import qblocks.filtration as filtration
 import qblocks.selftest as selftest
-from qblocks.charring import k_dim
+from qblocks.charring import full_support_height, k_dim
 from qblocks.cli import main
 
 
@@ -88,28 +88,38 @@ def _cpus(monkeypatch, count):
     monkeypatch.setattr(selftest, "_usable_cpus", lambda: count)
 
 
-def test_criterion_1_splits_by_weight(monkeypatch):
-    # The caller builds the orbit keys of the weights it runs, so it must run
-    # every case of a weight or none of them, and half the weights of a rank.
-    _cpus(monkeypatch, 2)
-    caller = os.getpid()
-    orig = selftest._linkage_case
-    here = []
+def test_criterion_4_cycles_through_every_height(monkeypatch):
+    # Each rank's cases cycle through the heights 0..H: 2 + 5 + 11 = 18
+    # (rank, height) pairs up to n = 4, each rank's full height among them.
+    orig = selftest.verma_flag_extract
+    seen = collections.Counter()
 
-    def recording(case):
-        if os.getpid() == caller:
-            here.append(case)
-        return orig(case)
+    def recording(char, trunc, super_blocks=False):
+        seen[trunc.base.rank, trunc.bound] += 1
+        return orig(char, trunc, super_blocks)
 
-    monkeypatch.setattr(selftest, "_linkage_case", recording)
-    res = selftest.check_linkage(max_n=4)
-    assert res.passed and res.cases == 320
-    seen = collections.Counter(lam for _, lam, _ in here)
-    per_rank = collections.Counter(lam.rank for lam in seen)
-    sweep = selftest._sweep(6, 4, 10, selftest.DEFAULT_SEED, 1)
-    total = collections.Counter(lam for _, lam, _ in sweep)
-    assert all(seen[lam] == total[lam] for lam in seen)
-    assert per_rank == {2: 5, 3: 5, 4: 5}
+    monkeypatch.setattr(selftest, "verma_flag_extract", recording)
+    res = selftest.check_flag_oracle()
+    assert res.passed and res.cases == 96 == sum(seen.values())
+    assert set(seen) == {
+        (n, h) for n in (2, 3, 4) for h in range(full_support_height(n) + 1)
+    }
+
+
+def test_wrong_quotient_below_full_height_turns_criterion_4_red(monkeypatch):
+    # Doubling the cached quotient below full height keeps it nonnegative and
+    # divisible, so extraction returns twice the flag without raising.  A
+    # criterion run at full height only would never reach the mutation.
+    orig = filtration._table_quotient
+
+    def doubled_below_full_height(n, bound, super_table, super_blocks):
+        q = orig(n, bound, super_table, super_blocks)
+        return q if bound == full_support_height(n) else {k: 2 * c for k, c in q.items()}
+
+    monkeypatch.setattr(filtration, "_table_quotient", doubled_below_full_height)
+    red = selftest.check_flag_oracle(max_n=3)
+    assert not red.passed and red.cases == 24
+    assert red.detail.startswith("n=2 ") and " height=0: " in red.detail
 
 
 # The gate at --max-n 5: (passed, cases, detail) for criteria 1 to 9.
