@@ -8,6 +8,8 @@ arguments and seed produce byte-identical output.
 
 linkage, mult and flag share one sweep path, cmd_sweep; their subparsers
 carry what differs: the row builder, the verdict field and the TSV headers.
+With --workers N the rows are split by _fork.fork_map over this process and
+forked children, at most N processes in all.
 
 Every command that enumerates a symmetric group checks its rank once, before
 it enumerates anything or builds a row, against QBLOCKS_MAX_RANK or, when
@@ -24,8 +26,9 @@ import os
 import sys
 from bisect import bisect_right
 from math import comb, factorial
-from typing import Callable, Optional
+from typing import Optional
 
+from qblocks._fork import fork_map
 from qblocks.charring import (
     Truncation,
     full_support_height,
@@ -44,15 +47,7 @@ from qblocks.filtration import (
 )
 from qblocks.lattice import Weight, classify
 from qblocks.sampling import sample_weights
-from qblocks.weyl import (
-    GuardError,
-    Perm,
-    _usable_cpus,
-    all_perms,
-    check_rank,
-    dot_orbit,
-    orbit,
-)
+from qblocks.weyl import GuardError, Perm, all_perms, check_rank, dot_orbit, orbit
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -121,6 +116,8 @@ def _resolve_sweep(args) -> tuple[int, dict, list[Weight], list[Perm]]:
     else:
         if args.n is None:
             raise ValueError("--n is required when --lambda is not given")
+        if args.n < 1:
+            raise ValueError(f"--n must be at least 1, got {args.n}")
         if args.samples < 1:
             # An empty sweep would check nothing and still report success.
             raise ValueError(f"--samples must be at least 1, got {args.samples}")
@@ -146,20 +143,6 @@ def _resolve_sweep(args) -> tuple[int, dict, list[Weight], list[Perm]]:
     return n, fixed, lams, list(all_perms(n)) if w is None else [w]
 
 
-def _map_rows(fn: Callable, payloads: list, workers: int) -> list:
-    # More processes than rows or usable CPUs would only sit idle.
-    procs = min(workers, len(payloads))
-    procs = min(procs, _usable_cpus()) if procs > 1 else procs
-    if procs > 1:
-        # Imported here so serial runs never load multiprocessing.
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunk = max(1, len(payloads) // (procs * 4))
-        with ProcessPoolExecutor(max_workers=procs) as pool:
-            return list(pool.map(fn, payloads, chunksize=chunk))
-    return [fn(p) for p in payloads]
-
-
 def _tsv_cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -181,7 +164,6 @@ def _emit(args, doc: dict, headers: list[str]) -> None:
         print(json.dumps(doc, indent=2))
 
 
-# Row builders live at module level so a worker pool can pickle them by name.
 # A payload is (Weight, Perm) followed by the document's fixed values.
 
 def _linkage_row(payload) -> dict:
@@ -271,7 +253,7 @@ def cmd_sweep(args) -> int:
     exit 1 unless every row's verdict field holds."""
     n, fixed, lams, perms = _resolve_sweep(args)
     payloads = [(lam, w, *fixed.values()) for lam in lams for w in perms]
-    rows = _map_rows(args.row, payloads, args.workers)
+    rows = fork_map(args.row, payloads, args.workers)
     passed = all(r[args.verdict] for r in rows)
     doc = {"command": args.command, "n": n, **fixed,
            "lambdas": [str(lam) for lam in lams], "rows": rows, "passed": passed}
@@ -320,7 +302,7 @@ def _add_common(sp, height: bool) -> None:
             help="truncation height (default: smallest bound covering every flag weight)",
         )
     sp.add_argument("--format", choices=("json", "tsv"), default="json")
-    sp.add_argument("--workers", type=int, default=1, help="process pool size")
+    sp.add_argument("--workers", type=int, default=1, help="processes to split rows over")
 
 
 def build_parser() -> argparse.ArgumentParser:

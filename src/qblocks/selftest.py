@@ -7,11 +7,10 @@ the cases and returns a CriterionResult carrying the first problem; a mere
 verification failure never raises, so tests and the selftest command decide
 what to do with red results.
 The cases of a criterion are independent, so those whose split pays go
-through _fork_join, which hands the odd-indexed ones to one forked process
-when a second CPU is usable.  Both sides run the same routine, _evaluate, on
-their share.  Criteria 1, 2, 3, 5's shift identity and 9 split this way;
-criteria 4 and 7 run in one process, since a split would save them a few
-milliseconds at most.
+through _split_cases, which hands the odd-indexed ones to one forked process
+by _fork.fork_map when a second CPU is usable.  Criteria 1, 2, 3, 5's shift
+identity and 9 split this way; criteria 4 and 7 run in one process, since a
+split would save them a few milliseconds at most.
 The greedy peel _peel_extract, the oracle for filtration.verma_flag_extract,
 lives here because criterion 9 and the tests are its only callers.
 """
@@ -20,16 +19,13 @@ from __future__ import annotations
 
 import functools
 import itertools
-import os
-import pickle
 import random
-import signal
-import threading
 import time
 from fractions import Fraction
 from operator import itemgetter, le
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
+from qblocks._fork import fork_map
 from qblocks.charring import (
     FormalCharacter,
     Truncation,
@@ -64,7 +60,7 @@ from qblocks.lattice import (
     weight_from_simple_coefficients,
 )
 from qblocks.sampling import sample_weights
-from qblocks.weyl import Perm, _usable_cpus, all_perms, rho_defect
+from qblocks.weyl import Perm, all_perms, rho_defect
 
 DEFAULT_SEED = 7
 
@@ -92,103 +88,16 @@ def _cap(full_scale: int, max_n: Optional[int]) -> int:
 
 
 _Problems = Iterator[Optional[str]]
-_Case = TypeVar("_Case")
 
 # Below this many cases a split costs about as much as it saves: one fork,
 # pipe and pickle round trip takes a few milliseconds.
 _MIN_SPLIT_CASES = 64
 
 
-_Outcome = tuple[int, Optional[str], Optional[Exception]]
-
-
-def _evaluate(
-    case: Callable[[_Case], Optional[str]], items: Sequence[_Case], share: Iterable[int]
-) -> list[_Outcome]:
-    """(i, case(items[i]), None) for the indices i of the share, in order,
-    ending with (i, None, exception) at the first case that raises."""
-    outcomes: list[_Outcome] = []
-    for i in share:
-        try:
-            outcomes.append((i, case(items[i]), None))
-        except Exception as exc:
-            outcomes.append((i, None, exc))
-            break
-    return outcomes
-
-
-def _fork_join(
-    case: Callable[[_Case], Optional[str]], items: Sequence[_Case]
-) -> list[Optional[str]]:
-    """case(item) for every item, as a list of problems in item order.
-
-    With os.fork, at least 2 usable CPUs and at least _MIN_SPLIT_CASES
-    items, one forked child runs _evaluate on the odd-indexed items and this
-    process on the even-indexed ones; otherwise this process evaluates them
-    all.  A process running other threads is not forked, since a lock one of
-    them holds would stay held in the child.
-    Each side goes through its share in index order and stops at its first
-    exception.  So every index below the lowest raising one is in the merged
-    outcomes, and, as in a serial run, that case's exception propagates.
-    """
-    if (
-        not hasattr(os, "fork")
-        or len(items) < _MIN_SPLIT_CASES
-        or _usable_cpus() < 2
-        or threading.active_count() > 1
-    ):
-        return [case(item) for item in items]
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_fd)
-            devnull = os.open(os.devnull, os.O_RDWR)
-            for fd in (0, 1, 2):
-                os.dup2(devnull, fd)
-            outcomes = _evaluate(case, items, range(1, len(items), 2))
-            try:
-                data = pickle.dumps(outcomes)
-                pickle.loads(data)
-            except Exception:
-                i, _, exc = outcomes[-1]
-                outcomes[-1] = (i, None, RuntimeError(f"case {i} raised {exc!r}"))
-                data = pickle.dumps(outcomes)
-            with os.fdopen(write_fd, "wb") as pipe:
-                pipe.write(data)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    with os.fdopen(read_fd, "rb") as pipe:
-        reaped = False
-        try:
-            outcomes = _evaluate(case, items, range(0, len(items), 2))
-            data = pipe.read()
-            wait_status = os.waitpid(pid, 0)[1]
-            reaped = True
-        finally:
-            if not reaped:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-    status = os.waitstatus_to_exitcode(wait_status)
-    if status:  # the child exits 0 only after writing all its outcomes
-        raise RuntimeError(
-            f"the criterion's forked process exited with status {status} "
-            "before reporting"
-        )
-    problems = []
-    for _, problem, exc in sorted(outcomes + pickle.loads(data), key=itemgetter(0)):
-        if exc is not None:
-            raise exc
-        problems.append(problem)
-    return problems
+def _split_cases(case: Callable, items: Sequence) -> list[Optional[str]]:
+    """case(item) for every item, in item order, split over this process and
+    one forked child when there are at least _MIN_SPLIT_CASES items."""
+    return fork_map(case, items, 2 if len(items) >= _MIN_SPLIT_CASES else 1)
 
 
 def _criterion(
@@ -242,7 +151,7 @@ def check_linkage(
 ) -> _Problems:
     """Criterion 1: both orbit intersections are singletons and the
     connecting offset has subset-sum coefficient 1, exhaustively in w."""
-    yield from _fork_join(_linkage_case, _sweep(6, max_n, samples, seed, 1))
+    yield from _split_cases(_linkage_case, _sweep(6, max_n, samples, seed, 1))
 
 
 def _restriction_case(case: _SweepCase) -> Optional[str]:
@@ -257,7 +166,7 @@ def check_restriction_mult(
 ) -> _Problems:
     """Criterion 2: the block-projected restriction multiplicity equals
     2^floor((n-1)/2), computed rather than assumed."""
-    yield from _fork_join(_restriction_case, _sweep(5, max_n, samples, seed, 10))
+    yield from _split_cases(_restriction_case, _sweep(5, max_n, samples, seed, 10))
 
 
 def _induction_case(case: _SweepCase) -> Optional[str]:
@@ -278,7 +187,7 @@ def check_induction_mult(
 ) -> _Problems:
     """Criterion 3: raw induced multiplicity 2^ceil((n-1)/2), halving to
     k_dim(n) after the even-rank parity split."""
-    yield from _fork_join(_induction_case, _sweep(5, max_n, samples, seed, 100))
+    yield from _split_cases(_induction_case, _sweep(5, max_n, samples, seed, 100))
 
 
 @_criterion(
@@ -320,7 +229,7 @@ def check_multiset_identity(max_n: Optional[int] = None) -> _Problems:
     """Criterion 5: e^rho * P_w = e^{w(rho)} * P for every w, and the
     rho-defect of w carries subset-sum coefficient exactly 1."""
     shifts = [(n, w) for n in range(1, _cap(5, max_n) + 1) for w in all_perms(n)]
-    yield from _fork_join(_shift_identity_case, shifts)
+    yield from _split_cases(_shift_identity_case, shifts)
     for n in range(1, _cap(6, max_n) + 1):
         p = subset_sum_P(n)
         for w in all_perms(n):
@@ -556,7 +465,7 @@ def check_property_suite(
         problem = fn(random.Random(f"{seed}/{i}"))
         return f"{name}: {problem}" if problem else None
 
-    yield from _fork_join(case, range(4 * cases_each))
+    yield from _split_cases(case, range(4 * cases_each))
 
 
 def run_all(

@@ -1,7 +1,6 @@
 """Exit codes, output formats, and determinism of the command-line front end."""
 
 import json
-import multiprocessing.process
 import os
 import subprocess
 import sys
@@ -11,11 +10,12 @@ from math import factorial
 
 import pytest
 
+import qblocks._fork as _fork
 import qblocks.charring as charring
 import qblocks.cli as cli
 import qblocks.sampling as sampling
 from qblocks.cli import main
-from qblocks.weyl import GuardError
+from qblocks.weyl import GuardError, all_perms
 
 
 def run_cli(argv, capsys):
@@ -199,6 +199,14 @@ def test_zero_samples_exits_two(capsys, command):
     assert "--samples" in err
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+@pytest.mark.parametrize("command", ["linkage", "mult", "flag"])
+def test_rank_below_one_exits_two_naming_it(capsys, command, n):
+    code, out, err = run_cli([command, "--n", n], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: --n must be at least 1, got {n}\n"
+
+
 @pytest.mark.parametrize("workers", ["0", "-2"])
 @pytest.mark.parametrize("command", ["linkage", "mult", "flag"])
 def test_workers_below_one_exits_two(capsys, command, workers):
@@ -353,6 +361,20 @@ def test_cli_import_loads_neither_selftest_nor_dataclasses():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
     assert proc.stdout.strip() == "[]"
+
+
+def test_serial_sweep_loads_no_process_machinery():
+    # Only a run that forks needs pickle and signal; none needs a pool.
+    code = (
+        "import sys; before = set(sys.modules); import qblocks.cli; "
+        "qblocks.cli.main(['linkage', '--lambda', '3,1']); "
+        "print(sorted({'pickle', 'signal', 'concurrent.futures', 'multiprocessing'}"
+        " & (set(sys.modules) - before)), file=sys.stderr)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert proc.stderr.strip() == "[]"
 
 
 # Exact bytes of the three sweep commands at n = 2.  The tests above check
@@ -644,48 +666,33 @@ def test_bad_sample_range_exits_two_naming_it(capsys, text):
     assert "--sample-range" in err and repr(text) in err
 
 
-@pytest.fixture
-def process_starts(monkeypatch):
-    starts = []
-    real = multiprocessing.process.BaseProcess.start
-
-    def counting(self):
-        starts.append(self)
-        real(self)
-
-    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counting)
-    return starts
-
-
-def test_worker_pool_sized_by_rows(capsys, process_starts):
-    # One row needs no pool, whatever --workers asks for.
+def test_worker_pool_sized_by_rows(capsys, forks):
+    # One row needs no fork, whatever --workers asks for.
     serial = ["mult", "--lambda", "3,1", "--w", "2 1"]
     code1, out1, _ = run_cli(serial, capsys)
     code2, out2, _ = run_cli(serial + ["--workers", "6"], capsys)
     assert code1 == code2 == 0
     assert out1 == out2
-    assert process_starts == []
+    assert forks == []
 
 
-def test_worker_pool_sized_by_cores(capsys, monkeypatch, process_starts):
+def test_worker_pool_sized_by_cores(capsys, monkeypatch, forks):
+    # --workers counts this process: N processes take N - 1 forks.
     serial = ["mult", "--lambda", "5,2,1", "--w", "all"]
     code1, out1, _ = run_cli(serial, capsys)
-    code2, out2, _ = run_cli(serial + ["--workers", "6"], capsys)
-    assert code1 == code2 == 0
-    assert out1 == out2
-    procs = min(6, cli._usable_cpus())
-    assert len(process_starts) == (procs if procs > 1 else 0)
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
-    del process_starts[:]
-    code3, out3, _ = run_cli(serial + ["--workers", "6"], capsys)
-    assert (code3, out3) == (0, out1)
-    assert process_starts == []
+    assert forks == []
+    for cpus, workers, made in [(3, "6", 2), (3, "2", 1), (1, "6", 0)]:
+        monkeypatch.setattr(_fork, "_usable_cpus", lambda cpus=cpus: cpus)
+        del forks[:]
+        code2, out2, _ = run_cli(serial + ["--workers", workers], capsys)
+        assert (code2, out2) == (0, out1)
+        assert len(forks) == made
 
 
 @pytest.mark.skipif(
     not hasattr(os, "sched_getaffinity"), reason="no CPU affinity on this platform"
 )
-def test_worker_pool_capped_by_usable_cpus(capsys, monkeypatch, process_starts):
+def test_worker_pool_capped_by_usable_cpus(capsys, monkeypatch, forks):
     # As under taskset -c 0: the machine has CPUs this process may not use.
     serial = ["mult", "--lambda", "5,2,1", "--w", "all"]
     code1, out1, _ = run_cli(serial, capsys)
@@ -694,4 +701,26 @@ def test_worker_pool_capped_by_usable_cpus(capsys, monkeypatch, process_starts):
     code2, out2, _ = run_cli(serial + ["--workers", "6"], capsys)
     assert code1 == code2 == 0
     assert out2 == out1
-    assert process_starts == []
+    assert forks == []
+
+
+def test_row_raising_in_a_child_reports_as_serial(capsys, monkeypatch, forks):
+    # Rows 3 (a child's) and 4 (this process's) raise at --workers 2: the
+    # lowest one's error is the serial run's.
+    perms = list(all_perms(3))
+    orig = cli._mult_row
+
+    def raising(payload):
+        i = perms.index(payload[1])
+        if i in (3, 4):
+            raise ValueError(f"row {i} broke")
+        return orig(payload)
+
+    monkeypatch.setattr(cli, "_mult_row", raising)
+    monkeypatch.setattr(_fork, "_usable_cpus", lambda: 2)
+    argv = ["mult", "--lambda", "5,2,1", "--w", "all"]
+    serial = run_cli(argv, capsys)
+    assert forks == []
+    assert serial == (2, "", "error: row 3 broke\n")
+    assert run_cli(argv + ["--workers", "2"], capsys) == serial
+    assert len(forks) == 1

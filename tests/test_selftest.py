@@ -5,6 +5,7 @@ import collections
 
 import pytest
 
+import qblocks._fork as _fork
 import qblocks.filtration as filtration
 import qblocks.selftest as selftest
 from qblocks.charring import full_support_height, k_dim
@@ -85,7 +86,7 @@ def test_odd_raw_multiplicity_at_even_rank_stops_criterion_3(monkeypatch):
 
 
 def _cpus(monkeypatch, count):
-    monkeypatch.setattr(selftest, "_usable_cpus", lambda: count)
+    monkeypatch.setattr(_fork, "_usable_cpus", lambda: count)
 
 
 def test_criterion_4_cycles_through_every_height(monkeypatch):

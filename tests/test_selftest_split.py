@@ -1,5 +1,6 @@
-"""The criteria's fork-join split: the same results as one process, the
-serial exception order, and no child left behind."""
+"""The fork-join split, _fork.fork_map, and the criteria that use it: the
+same results as one process, the serial exception order, and no child left
+behind."""
 
 import os
 import signal
@@ -8,7 +9,9 @@ import time
 
 import pytest
 
+import qblocks._fork as _fork
 import qblocks.selftest as selftest
+from qblocks._fork import fork_map
 from qblocks.charring import k_dim
 
 
@@ -19,24 +22,8 @@ def no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """Count the forks made while the test runs."""
-    made = []
-    fork = os.fork
-
-    def counting_fork():
-        pid = fork()
-        if pid:
-            made.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counting_fork)
-    return made
-
-
 def _cpus(monkeypatch, count):
-    monkeypatch.setattr(selftest, "_usable_cpus", lambda: count)
+    monkeypatch.setattr(_fork, "_usable_cpus", lambda: count)
 
 
 def _result(res):
@@ -83,13 +70,13 @@ def test_property_families_draw_the_serial_values(monkeypatch, forks):
     for name in families:
         monkeypatch.setattr(selftest, name, lambda rng: f"{rng.random()}")
     runs = []
-    fork_join = selftest._fork_join
+    split_cases = selftest._split_cases
 
     def recording(case, *args):
-        runs.append((case, fork_join(case, *args)))
+        runs.append((case, split_cases(case, *args)))
         return runs[-1][1]
 
-    monkeypatch.setattr(selftest, "_fork_join", recording)
+    monkeypatch.setattr(selftest, "_split_cases", recording)
     _cpus(monkeypatch, 1)
     selftest.check_property_suite(cases_each=20)
     _cpus(monkeypatch, 2)
@@ -163,23 +150,49 @@ def _raising_at(errors):
     return case
 
 
+# Every test below runs fork_map at 2 and at 3 processes.
+PROCS = (2, 3)
+
+
 @pytest.mark.parametrize(
     "errors, want",
     [
-        # Child side (odd) first, then this process's side (even).
-        ({7: ArithmeticError("seven"), 10: ValueError("ten")}, ArithmeticError),
-        ({4: ValueError("four"), 7: ArithmeticError("seven")}, ValueError),
+        # A child's side first, then this process's side first: 6 and 12
+        # are 0 mod 2 and mod 3, 7 is not.
+        ({7: ArithmeticError("seven"), 12: ValueError("twelve")}, ArithmeticError),
+        ({6: ValueError("six"), 7: ArithmeticError("seven")}, ValueError),
         ({91: ArithmeticError("ninety-one")}, ArithmeticError),
         ({2: KeyError("two")}, KeyError),
     ],
 )
 def test_lowest_raising_case_wins(monkeypatch, forks, errors, want):
-    _cpus(monkeypatch, 2)
+    _cpus(monkeypatch, 3)
     first = errors[min(errors)]
-    with pytest.raises(want) as got:
-        selftest._fork_join(_raising_at(errors), range(100))
-    assert type(got.value) is want and got.value.args == first.args
-    assert len(forks) == 1
+    for procs in PROCS:
+        with pytest.raises(want) as got:
+            fork_map(_raising_at(errors), range(100), procs)
+        assert type(got.value) is want and got.value.args == first.args
+    assert len(forks) == sum(p - 1 for p in PROCS)
+
+
+def test_first_item_runs_here_before_any_fork(monkeypatch, forks):
+    _cpus(monkeypatch, 3)
+    caller = os.getpid()
+    cache = []
+
+    def item(i):
+        if i == 0:
+            cache.append(i)  # what the children inherit
+        return os.getpid() == caller, len(forks), len(cache)
+
+    for procs in PROCS:
+        del forks[:], cache[:]
+        got = fork_map(item, range(10), procs)
+        assert got[0] == (True, 0, 1)
+        # Forked after item 0, each child still sees its cache entry.
+        assert all(n == 1 for _, _, n in got)
+        assert [here for here, _, _ in got] == [i % procs == 0 for i in range(10)]
+        assert len(forks) == procs - 1
 
 
 @pytest.mark.parametrize(
@@ -193,19 +206,20 @@ def test_lowest_raising_case_wins(monkeypatch, forks, errors, want):
 def test_child_that_dies_without_a_result_names_its_status(
     monkeypatch, forks, die, status
 ):
-    _cpus(monkeypatch, 2)
+    _cpus(monkeypatch, 3)
     caller = os.getpid()
 
     def case(i):
-        if i == 9 and os.getpid() != caller:
+        if os.getpid() != caller:
             die()
         return None
 
-    with pytest.raises(
-        RuntimeError, match=f"exited with status {status} before reporting"
-    ):
-        selftest._fork_join(case, range(100))
-    assert len(forks) == 1
+    for procs in PROCS:
+        with pytest.raises(
+            RuntimeError, match=f"exited with status {status} before reporting"
+        ):
+            fork_map(case, range(100), procs)
+    assert len(forks) == sum(p - 1 for p in PROCS)
 
 
 class _TwoArgumentError(Exception):
@@ -214,10 +228,12 @@ class _TwoArgumentError(Exception):
 
 
 def test_exception_that_does_not_survive_pickling(monkeypatch, forks):
-    _cpus(monkeypatch, 2)
-    with pytest.raises(RuntimeError, match="^case 9 raised _TwoArgumentError"):
-        selftest._fork_join(_raising_at({9: _TwoArgumentError("x", "y")}), range(100))
-    assert len(forks) == 1
+    _cpus(monkeypatch, 3)
+    # 7 falls to a child at 2 and at 3 processes.
+    for procs in PROCS:
+        with pytest.raises(RuntimeError, match="^item 7 raised _TwoArgumentError"):
+            fork_map(_raising_at({7: _TwoArgumentError("x", "y")}), range(100), procs)
+    assert len(forks) == sum(p - 1 for p in PROCS)
 
 
 class _Interrupt(BaseException):
@@ -225,21 +241,25 @@ class _Interrupt(BaseException):
 
 
 def test_child_is_killed_when_the_caller_is_interrupted(monkeypatch, forks):
-    _cpus(monkeypatch, 2)
+    _cpus(monkeypatch, 3)
     caller = os.getpid()
 
     def case(i):
         if os.getpid() != caller:
-            time.sleep(60)  # the child is still busy when the caller stops
-        if i == 4:
+            # Still busy when the caller stops; exiting afterwards bounds the
+            # wait if nothing kills them.
+            time.sleep(60)
+            os._exit(0)
+        if i == 6:
             raise _Interrupt
         return None
 
     start = time.monotonic()
-    with pytest.raises(_Interrupt):
-        selftest._fork_join(case, range(100))
-    assert time.monotonic() - start < 30  # not the child's 60 s
-    assert len(forks) == 1
+    for procs in PROCS:
+        with pytest.raises(_Interrupt):
+            fork_map(case, range(100), procs)
+    assert time.monotonic() - start < 30  # not the children's 60 s
+    assert len(forks) == sum(p - 1 for p in PROCS)
 
 
 def test_calling_process_does_part_of_criterion_1(monkeypatch):
