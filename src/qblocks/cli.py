@@ -37,7 +37,6 @@ from qblocks.charring import (
     super_verma_char,
 )
 from qblocks.filtration import (
-    _flag_within,
     ind_block_mult,
     ind_block_mult_split,
     linkage_check,
@@ -202,10 +201,11 @@ def _mult_row(payload) -> dict:
 
 def _flag_row(payload) -> dict:
     lam, w, bound = payload
+    # The direct route goes first: it checks lam before any table is built.
+    direct = restriction_flag(lam, w, bound)
     wl = w.act(lam)
     trunc = Truncation(wl, bound)
     extracted = verma_flag_extract(super_verma_char(wl, trunc, even_only=True), trunc)
-    direct = _flag_within(restriction_flag(lam, w), trunc)
     return {
         "lambda": str(lam),
         "w": str(w),

@@ -9,14 +9,16 @@ so lam - x has a key, cached once per lam, and each digit gets one guard bit
 above it, which no key of P sets, so that the difference of two keys is a
 key of P only when it lies in the positive cone (see _orbit_hits).
 
-_flag_within cuts a flag down to a truncation region with one packing: the
-flag command's direct route and criterion 4 below full height use it."""
+restriction_flag cuts P, cached per rank in height order, by one bisect
+before it builds any weight of a flag cut to a truncation region."""
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import lru_cache
+from operator import itemgetter
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
 from qblocks.charring import (
     FormalCharacter,
@@ -29,7 +31,7 @@ from qblocks.charring import (
     subset_sum_P,
 )
 from qblocks.kernels._pykernels import binomial_product, geometric_product
-from qblocks.lattice import Weight, classify
+from qblocks.lattice import Weight, classify, height as _height
 from qblocks.weyl import Perm, check_rank, dot_orbit, orbit
 
 
@@ -207,27 +209,28 @@ def linkage_check(lam: Weight, w: Perm) -> LinkageReport:
     return LinkageReport(lam, w, plain, dot, offset, mult, passed)
 
 
-def restriction_flag(lam: Weight, w: Perm) -> FlagMultiset:
-    """Verma flag of the even part of a restricted Verma supermodule.
+@lru_cache(maxsize=None)
+def _subset_sums_by_height(n: int) -> list[tuple[int, Weight, int]]:
+    """P's entries as (height, p, coefficient), by height; shared, never mutated."""
+    entries = ((_height(p), p, c) for p, c in subset_sum_P(n).items())
+    return sorted(entries, key=itemgetter(0))
 
-    Entry at nu is k_dim(n) times the subset-sum coefficient of w(lam) - nu,
-    computed directly from the subset-sum multiset.
-    """
+
+def restriction_flag(lam: Weight, w: Perm, height: Optional[int] = None) -> FlagMultiset:
+    """Verma flag of the even part of a restricted Verma supermodule: entry
+    at nu is k_dim(n) times the subset-sum coefficient of w(lam) - nu.  With
+    a height, only the entries in Truncation(w(lam), height) are built."""
     wl = w.act(lam)
     n = lam.rank
     check_rank(n)
     _require(lam, "restriction_flag", strongly_typical=True)
+    entries = _subset_sums_by_height(n)
+    if height is not None:
+        if height < 0:
+            raise ValueError(f"truncation bound must be a nonnegative int: {height!r}")
+        entries = entries[: bisect_right(entries, height, key=itemgetter(0))]
     k = k_dim(n)
-    return FlagMultiset((wl - p, k * c) for p, c in subset_sum_P(n).items())
-
-
-def _flag_within(flag: FlagMultiset, trunc: Truncation) -> FlagMultiset:
-    """The entries of flag that trunc admits, all tested on one packing."""
-    base = trunc.base
-    pk = _Packing(base.rank, trunc.bound)
-    return FlagMultiset(
-        {wt: m for wt, m in flag._entries.items() if pk.key_below(base, wt) is not None}
-    )
+    return FlagMultiset((wl - p, k * c) for _, p, c in entries)
 
 
 def res_block_mult(lam: Weight, w: Perm) -> int:

@@ -19,11 +19,11 @@ commute, so the result does not depend on the order of the steps; the order
 only sets how large the supports grow in between, which is why charring and
 filtration each choose theirs.
 
-geometric_product looks up ``k - v`` for each key k.  When that subtraction
-borrows, the lowest borrowing digit is 0 - 1 with no borrow coming in, so it
-reads 2**shift - 1 > bound: ``k - v`` then lies outside the valid digit range
-and cannot collide with a real key.  This uses only the digit bound, so it
-holds for any starting accumulator whose keys are valid, not only {0: 1}.
+geometric_product starts a line k, k + v, ... at each key k of acc with
+``k - v`` not in acc.  When that subtraction borrows, the lowest borrowing
+digit is 0 - 1 with no borrow coming in, so it reads 2**shift - 1 > bound:
+``k - v`` is then no valid key, so not in acc, and k rightly starts a line.
+This uses only the digit bound, so it holds for any valid accumulator.
 
 Coefficient values are ordinary Python ints and are never bounded.
 """
@@ -56,29 +56,27 @@ def geometric_product(acc, vecs, bound, hshift, sign=1):
     """Multiply acc by prod_v 1 / (1 - sign * x^v), truncated to heights
     <= bound; acc maps valid packed keys to coefficients.  With sign 1 this is
     prod_v (1 + x^v + x^2v + ...); with sign -1 it divides by prod_v (1 + x^v).
-    The keys are sorted once; each pass then appends the keys it adds to the
-    sorted list and sorts that once."""
+    Each pass walks its lines from their starts, lowest first, setting
+    out[k] = acc[k] + sign * out[k - v] up to the bound; a start that a lower
+    walk reached is skipped.  A walk stops early at a zero whose next key is
+    not in acc, since the line stays zero up to its next start.  Zeros are
+    dropped after a pass, and only when it made one."""
     lim = (bound + 1) << hshift
-    keys = sorted(acc)
     for v in vecs:
-        # Close the support under addition of v.  A chain k + v, k + 2v, ...
-        # stops above the bound or at a key already held, whose own chain
-        # goes on from there, so no key is added twice.
-        grown = []
-        for k in keys:
-            k2 = k + v
-            while k2 < lim and k2 not in acc:
-                grown.append(k2)
-                k2 += v
-        if grown:
-            keys += grown
-            keys.sort()
-        # Increasing key order does k - v before k.
-        out = {}
-        for k in keys:
-            c = acc.get(k, 0) + sign * out.get(k - v, 0)
-            if c:
+        # Every key of acc is overwritten; a copy keeps acc's key objects.
+        out = acc.copy()
+        zeros = False
+        for k in sorted(k for k in acc if k - v not in acc):
+            if k - v in out:  # no key of acc: a lower walk went through it
+                continue
+            c = 0
+            while k < lim:
+                c = acc.get(k, 0) + sign * c
                 out[k] = c
-        acc = out
-        keys = list(out)
+                if not c:
+                    zeros = True
+                    if k + v not in acc:
+                        break
+                k += v
+        acc = {k: c for k, c in out.items() if c} if zeros else out
     return acc

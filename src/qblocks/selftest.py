@@ -43,7 +43,6 @@ from qblocks.charring import (
 from qblocks.filtration import (
     FlagExtractionError,
     FlagMultiset,
-    _flag_within,
     _parity_split,
     ind_block_mult,
     linkage_check,
@@ -197,20 +196,17 @@ def check_flag_oracle(
     seed: int = DEFAULT_SEED, samples: int = 3, max_n: Optional[int] = None
 ) -> _Problems:
     """Criterion 4: flag extraction by division from the even-part
-    super-Verma character reproduces the directly computed restriction flag,
-    cut down to the region below full height; each rank's cases cycle
-    through the heights 0..full_support_height(n)."""
+    super-Verma character reproduces the directly computed restriction flag
+    cut to the same region; each rank's cases cycle through the heights
+    0..full_support_height(n)."""
     cases = _sweep(4, max_n, samples, seed, 1000)
     for n, group in itertools.groupby(cases, key=itemgetter(0)):
-        top = full_support_height(n)
         for j, (_, lam, w) in enumerate(group):
-            height = j % (top + 1)
+            height = j % (full_support_height(n) + 1)
             wl = w.act(lam)
             trunc = Truncation(wl, height)
             got = verma_flag_extract(super_verma_char(wl, trunc, even_only=True), trunc)
-            want = restriction_flag(lam, w)
-            if height < top:
-                want = _flag_within(want, trunc)
+            want = restriction_flag(lam, w, height)
             yield None if got == want else (
                 f"n={n} lambda={lam} w={w} height={height}: {got} != {want}"
             )

@@ -656,6 +656,24 @@ def test_negative_height_exits_two(capsys):
     assert "--height" in err
 
 
+def test_flag_refuses_a_bad_lambda_before_building_a_table(capsys, monkeypatch):
+    # 13,9,6,2,-2,-10 is not strongly typical; the 658,008-point table at
+    # n = 6 must not be built before the direct route refuses it.
+    def never(*args, **kwargs):
+        raise AssertionError("super_verma_char called before lambda was checked")
+
+    monkeypatch.setattr(cli, "super_verma_char", never)
+    code, out, err = run_cli(
+        ["flag", "--n", "6", "--lambda=13,9,6,2,-2,-10", "--w", "4 1 2 3 6 5"],
+        capsys,
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: restriction_flag requires an integral dominant regular strongly "
+        "typical weight; 13,9,6,2,-2,-10 is not strongly typical\n"
+    )
+
+
 @pytest.mark.parametrize("text", ["a:b", "1:", "3", "1:2:3"])
 def test_bad_sample_range_exits_two_naming_it(capsys, text):
     code, out, err = run_cli(

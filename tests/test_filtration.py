@@ -21,7 +21,6 @@ from qblocks.charring import (
 )
 from qblocks.filtration import (
     FlagExtractionError,
-    _flag_within,
     _hit_support,
     _hit_width,
     _orbit_hits,
@@ -273,21 +272,28 @@ def test_restriction_flag_requires_strong_typicality():
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_flag_within_matches_admits_filter(n):
-    # _flag_within against Truncation.admits on every entry: every w and
-    # height 0..H up to n = 4, six sampled w at n = 5.  Besides w(lam), the
-    # region is also based one highest root lower, so that entries fall
-    # outside its cone as well as above its height.
+def test_restriction_flag_cut_matches_admits_filter(n):
+    # The flag cut by height against Truncation.admits on every entry of the
+    # full flag at base w(lam): every w and height 0..H + 1 up to n = 4, six
+    # sampled w at n = 5.
     (lam,) = sample_weights(n, 1, seed=110 + n)
-    top = Weight([1] + [0] * (n - 2) + [-1])
     perms = list(all_perms(n))
     for w in perms if n < 5 else random.Random(115).sample(perms, 6):
         flag = restriction_flag(lam, w)
-        for base in (w.act(lam), w.act(lam) - top):
-            for height in range(full_support_height(n) + 1):
-                trunc = Truncation(base, height)
-                want = FlagMultiset((v, m) for v, m in flag.items() if trunc.admits(v))
-                assert _flag_within(flag, trunc) == want, (lam, w, base, height)
+        for height in range(full_support_height(n) + 2):
+            trunc = Truncation(w.act(lam), height)
+            want = FlagMultiset((v, m) for v, m in flag.items() if trunc.admits(v))
+            assert restriction_flag(lam, w, height) == want, (lam, w, height)
+        assert restriction_flag(lam, w, full_support_height(n)) == flag
+
+
+def test_restriction_flag_refuses_a_negative_height():
+    lam, w = wt("5,2,1"), Perm.identity(3)
+    with pytest.raises(ValueError) as want:
+        Truncation(w.act(lam), -1)
+    with pytest.raises(ValueError) as got:
+        restriction_flag(lam, w, -1)
+    assert str(got.value) == str(want.value)
 
 
 def test_res_block_mult_examples():
