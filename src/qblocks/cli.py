@@ -1,8 +1,9 @@
 """Command-line front end: weight classification, orbits, linkage checks,
 and multiplicity tables, with deterministic JSON or TSV output.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource
-guard, 141 (128 + SIGPIPE) when the reader closes stdout first, as in
+Exit codes: 0 success, 1 verification failure (a row verdict that fails, or
+a flag division that fails), 2 usage error, 3 resource guard, 141
+(128 + SIGPIPE) when the reader closes stdout first, as in
 ``qblocks mult ... | head``; that exit prints nothing to stderr.  Identical
 arguments and seed produce byte-identical output.
 
@@ -26,23 +27,20 @@ import os
 import sys
 from bisect import bisect_right
 from math import comb, factorial
+from operator import itemgetter
 from typing import Optional
 
 from qblocks._fork import fork_map
-from qblocks.charring import (
-    Truncation,
-    full_support_height,
-    k_dim,
-    subset_sum_P,
-    super_verma_char,
-)
+from qblocks.charring import full_support_height, k_dim, subset_sum_P
+from qblocks import filtration
 from qblocks.filtration import (
+    FlagExtractionError,
+    _subset_sums_by_height,
     ind_block_mult,
     ind_block_mult_split,
     linkage_check,
     res_block_mult,
     restriction_flag,
-    verma_flag_extract,
 )
 from qblocks.lattice import Weight, classify
 from qblocks.sampling import sample_weights
@@ -60,10 +58,19 @@ CLI_DEFAULT_MAX_RANK = 7
 # 3.3-4.6 s and 139 MB (2 cores, Python 3.11.7).
 _MAX_FLAG_REGION = comb(40, 5)
 
+# A flag row's cost beyond its entries, in flag entries.  Warm rows of
+# flag --n 6 --lambda=13,9,6,2,-1,-10 --w all, JSON included, took
+# 0.071-0.074 ms each at --height 0 (one entry) and 15-16 us per entry at
+# full height (43-46 ms for 2,932), so F = 4.7-4.8, rounded up (2 cores,
+# Python 3.11.7, -O).
+_FLAG_ROW_COST = 5
+
 # Rows x per-row work per sweep, each the largest sweep the CLI promises: one
 # weight over all w at n = 6 for mult and flag (720 rows of |supp P(6)| =
-# 2,932 flag entries) and at n = 7 for linkage (5,040 rows of 7! points).
-_WORK_CAPS = {"mult": 720 * 2_932, "flag": 720 * 2_932, "linkage": 5_040 * 5_040}
+# 2,932 flag entries, plus _FLAG_ROW_COST for flag) and at n = 7 for linkage
+# (5,040 rows of 7! points).
+_WORK_CAPS = {"mult": 720 * 2_932, "flag": 720 * (2_932 + _FLAG_ROW_COST),
+              "linkage": 5_040 * 5_040}
 
 
 def _flag_height(n: int, height: Optional[int]) -> int:
@@ -84,16 +91,25 @@ def _flag_height(n: int, height: Optional[int]) -> int:
     return bound
 
 
-def _check_rows(command: str, n: int, rows: int) -> None:
-    """Refuse rows that, at one unit per weight of supp P(n) (mult, flag) or
-    per n! orbit point (linkage), exceed _WORK_CAPS[command] units.  Rows are
-    compared alone first, so P(n) is built only when they could fit."""
+def _check_rows(command: str, n: int, rows: int, height: Optional[int] = None) -> None:
+    """Refuse rows whose work exceeds _WORK_CAPS[command] units: a linkage
+    row tests n! orbit points, a mult row builds |supp P(n)| flag entries, and
+    a flag row P's entries up to its height plus _FLAG_ROW_COST.  Rows are
+    compared at their least work first, so P(n) is built only when they
+    could fit."""
     cap = _WORK_CAPS[command]
     unit = "orbit points" if command == "linkage" else "flag entries"
-    if rows > cap:
-        raise GuardError(f"{command} at n = {n} asks for {rows:,} rows, "
-                         f"more than the {cap:,} {unit} it may build")
-    work = factorial(n) if command == "linkage" else len(subset_sum_P(n))
+    least = 1 + (_FLAG_ROW_COST if command == "flag" else 0)
+    if rows * least > cap:
+        raise GuardError(f"{command} at n = {n} asks for {rows:,} rows, more than "
+                         f"the {cap:,} {unit} it may build, at least {least} a row")
+    if command == "linkage":
+        work = factorial(n)
+    elif command == "flag":
+        entries = _subset_sums_by_height(n)
+        work = bisect_right(entries, height, key=itemgetter(0)) + _FLAG_ROW_COST
+    else:
+        work = len(subset_sum_P(n))
     if rows * work > cap:
         raise GuardError(f"{command} at n = {n} would build {rows:,} rows of "
                          f"{work:,} {unit}, more than {cap:,}; use "
@@ -134,7 +150,8 @@ def _resolve_sweep(args) -> tuple[int, dict, list[Weight], list[Perm]]:
     check_rank(n, CLI_DEFAULT_MAX_RANK)
     fixed = {"height": _flag_height(n, args.height)} if args.command == "flag" else {}
     samples = 1 if lam is not None else args.samples
-    _check_rows(args.command, n, samples * (factorial(n) if w is None else 1))
+    rows = samples * (factorial(n) if w is None else 1)
+    _check_rows(args.command, n, rows, fixed.get("height"))
     if lam is None:
         lams = sample_weights(n, args.samples, seed=args.seed, lo=lo, hi=hi)
     else:
@@ -201,18 +218,16 @@ def _mult_row(payload) -> dict:
 
 def _flag_row(payload) -> dict:
     lam, w, bound = payload
-    # The direct route goes first: it checks lam before any table is built.
-    direct = restriction_flag(lam, w, bound)
-    wl = w.act(lam)
-    trunc = Truncation(wl, bound)
-    extracted = verma_flag_extract(super_verma_char(wl, trunc, even_only=True), trunc)
+    extracted, direct = filtration._flag_routes(lam, w, bound)
+    match = extracted == direct
+    entries = extracted.to_json_entries()
     return {
         "lambda": str(lam),
         "w": str(w),
         "height": bound,
-        "extracted": extracted.to_json_entries(),
-        "direct": direct.to_json_entries(),
-        "match": extracted == direct,
+        "extracted": entries,
+        "direct": entries if match else direct.to_json_entries(),
+        "match": match,
     }
 
 
@@ -364,6 +379,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     except GuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
+    except FlagExtractionError as exc:
+        # flag divides only tables it packs itself, never terms a user gave,
+        # so a division that fails is a failed verification.
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

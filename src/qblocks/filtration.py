@@ -29,6 +29,7 @@ from qblocks.charring import (
     full_support_height,
     k_dim,
     subset_sum_P,
+    super_verma_char,
 )
 from qblocks.kernels._pykernels import binomial_product, geometric_product
 from qblocks.lattice import Weight, classify, height as _height
@@ -362,3 +363,15 @@ def verma_flag_extract(
     return FlagMultiset(
         (pk.weight_below(base, k), c // divisor) for k, c in acc.items()
     )
+
+
+def _flag_routes(lam: Weight, w: Perm, height: int) -> tuple[FlagMultiset, FlagMultiset]:
+    """The restriction flag cut to Truncation(w(lam), height) by both routes:
+    extracted from the even-part super-Verma table, then built directly.
+    lam is checked before any table is built, and the direct flag only after
+    the division, so it is not held while the table is divided."""
+    _require(lam, "restriction_flag", strongly_typical=True)
+    wl = w.act(lam)
+    trunc = Truncation(wl, height)
+    extracted = verma_flag_extract(super_verma_char(wl, trunc, even_only=True), trunc)
+    return extracted, restriction_flag(lam, w, height)

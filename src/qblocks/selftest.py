@@ -40,6 +40,7 @@ from qblocks.charring import (
     thick_dim,
     verma_char,
 )
+from qblocks import filtration
 from qblocks.filtration import (
     FlagExtractionError,
     FlagMultiset,
@@ -47,7 +48,6 @@ from qblocks.filtration import (
     ind_block_mult,
     linkage_check,
     res_block_mult,
-    restriction_flag,
     verma_flag_extract,
 )
 from qblocks.lattice import (
@@ -203,10 +203,7 @@ def check_flag_oracle(
     for n, group in itertools.groupby(cases, key=itemgetter(0)):
         for j, (_, lam, w) in enumerate(group):
             height = j % (full_support_height(n) + 1)
-            wl = w.act(lam)
-            trunc = Truncation(wl, height)
-            got = verma_flag_extract(super_verma_char(wl, trunc, even_only=True), trunc)
-            want = restriction_flag(lam, w, height)
+            got, want = filtration._flag_routes(lam, w, height)
             yield None if got == want else (
                 f"n={n} lambda={lam} w={w} height={height}: {got} != {want}"
             )

@@ -13,9 +13,11 @@ import pytest
 import qblocks._fork as _fork
 import qblocks.charring as charring
 import qblocks.cli as cli
+import qblocks.filtration as filtration
 import qblocks.sampling as sampling
 from qblocks.cli import main
-from qblocks.weyl import GuardError, all_perms
+from qblocks.lattice import Weight
+from qblocks.weyl import GuardError, Perm, all_perms
 
 
 def run_cli(argv, capsys):
@@ -569,8 +571,9 @@ def test_mult_work_guard_exits_three(capsys, monkeypatch, argv, fits):
     (["linkage", "--n", "7", "--w", "all", "--samples", "2"], "5,040"),
     (["linkage", "--n", "6", "--w", "all", "--samples", "50"], "35,280"),
     (["flag", "--n", "6", "--w", "all", "--samples", "40"], "720"),
+    # 13,675 of P(7)'s 36,961 entries lie at height 24 or below.
     (["flag", "--n", "7", "--lambda=13,9,6,4,2,-7,-11", "--w", "all",
-      "--height", "24"], "57"),
+      "--height", "24"], "154"),
     (["mult", "--n", "7", "--w", "all"], "57"),
 ])
 def test_work_guard_exits_three(capsys, monkeypatch, argv, fits):
@@ -579,10 +582,12 @@ def test_work_guard_exits_three(capsys, monkeypatch, argv, fits):
 
 def test_work_caps_are_the_contract_sweep_estimates():
     # Each cap is the largest one-weight --w all sweep the CLI promises:
-    # n = 6 for mult and flag, n = 7 for linkage.
+    # n = 6 for mult and flag, n = 7 for linkage.  A flag row also costs
+    # _FLAG_ROW_COST beyond its entries.
+    p6 = len(charring.subset_sum_P(6))
     assert cli._WORK_CAPS == {
-        "mult": factorial(6) * len(charring.subset_sum_P(6)),
-        "flag": factorial(6) * len(charring.subset_sum_P(6)),
+        "mult": factorial(6) * p6,
+        "flag": factorial(6) * (p6 + cli._FLAG_ROW_COST),
         "linkage": factorial(7) * factorial(7),
     }
 
@@ -594,12 +599,15 @@ def test_work_caps_are_the_contract_sweep_estimates():
 ])
 def test_contract_sweeps_resolve_at_their_caps(argv):
     command = argv[0]
-    n, _, lams, perms = cli._resolve_sweep(cli.build_parser().parse_args(argv))
+    n, fixed, lams, perms = cli._resolve_sweep(cli.build_parser().parse_args(argv))
     rows = len(lams) * len(perms)
-    work = factorial(n) if command == "linkage" else len(charring.subset_sum_P(n))
+    if command == "linkage":
+        work = factorial(n)
+    else:
+        work = len(charring.subset_sum_P(n)) + cli._FLAG_ROW_COST
     assert rows * work == cli._WORK_CAPS[command]
     with pytest.raises(GuardError, match=f"use {rows:,} rows or fewer"):
-        cli._check_rows(command, n, rows + 1)
+        cli._check_rows(command, n, rows + 1, fixed.get("height"))
 
 
 def test_mult_work_guard_admits_the_n6_table():
@@ -611,11 +619,12 @@ def test_mult_work_guard_admits_the_n6_table():
 
 
 def test_mult_work_guard_boundary(capsys, monkeypatch):
-    # At n = 3 a mult or flag row does |supp P(3)| = 7 units of work and a
-    # linkage row 3! = 6, so a cap of 6 rows' work fits the 6 rows of one
-    # weight over all w, and 6 is the largest row count named.
+    # At n = 3 a mult row does |supp P(3)| = 7 units of work, a full-height
+    # flag row those 7 plus _FLAG_ROW_COST, and a linkage row 3! = 6, so a
+    # cap of 6 rows' work fits the 6 rows of one weight over all w, and 6 is
+    # the largest row count named.
     for command, work, unit in (
-        ("mult", 7, "flag entries"), ("flag", 7, "flag entries"),
+        ("mult", 7, "flag entries"), ("flag", 7 + cli._FLAG_ROW_COST, "flag entries"),
         ("linkage", 6, "orbit points"),
     ):
         monkeypatch.setitem(cli._WORK_CAPS, command, 6 * work)
@@ -658,11 +667,11 @@ def test_negative_height_exits_two(capsys):
 
 def test_flag_refuses_a_bad_lambda_before_building_a_table(capsys, monkeypatch):
     # 13,9,6,2,-2,-10 is not strongly typical; the 658,008-point table at
-    # n = 6 must not be built before the direct route refuses it.
+    # n = 6 must not be built before lambda is checked.
     def never(*args, **kwargs):
         raise AssertionError("super_verma_char called before lambda was checked")
 
-    monkeypatch.setattr(cli, "super_verma_char", never)
+    monkeypatch.setattr(filtration, "super_verma_char", never)
     code, out, err = run_cli(
         ["flag", "--n", "6", "--lambda=13,9,6,2,-2,-10", "--w", "4 1 2 3 6 5"],
         capsys,
@@ -671,6 +680,101 @@ def test_flag_refuses_a_bad_lambda_before_building_a_table(capsys, monkeypatch):
     assert err == (
         "error: restriction_flag requires an integral dominant regular strongly "
         "typical weight; 13,9,6,2,-2,-10 is not strongly typical\n"
+    )
+
+
+def _negated_quotient_after(monkeypatch, calls):
+    """Negate the top coefficient of every quotient filtration hands out
+    after its first `calls` ones, which stay true; return the list of calls
+    counted, which a test clears to start the count again."""
+    orig = filtration._table_quotient
+    made = []
+
+    def negated(n, bound, super_table, super_blocks):
+        q = dict(orig(n, bound, super_table, super_blocks))
+        made.append(n)
+        if len(made) > calls:
+            q[max(q)] *= -1
+        return q
+
+    monkeypatch.setattr(filtration, "_table_quotient", negated)
+    return made
+
+
+def test_failed_division_exits_one(capsys, monkeypatch):
+    # flag divides only tables it packs itself: a division that fails is a
+    # verification failure, not a usage error.
+    _negated_quotient_after(monkeypatch, 0)
+    code, out, err = run_cli(
+        ["flag", "--n", "3", "--lambda=5,2,-1", "--w", "2 1 3"], capsys
+    )
+    assert (code, out, err) == (1, "", "error: negative coefficient at 0,5,1\n")
+
+
+def test_failed_division_in_a_child_exits_one_as_serial(capsys, monkeypatch, forks):
+    # Row 0, which this process builds before it forks, divides truly; every
+    # later division fails, row 1's in the child first.
+    monkeypatch.setattr(_fork, "_usable_cpus", lambda: 2)
+    argv = ["flag", "--n", "3", "--lambda=5,2,-1", "--w", "all"]
+    made = _negated_quotient_after(monkeypatch, 1)
+    serial = run_cli(argv, capsys)
+    assert forks == []
+    assert serial[:2] == (1, "")
+    assert serial[2].startswith("error: negative coefficient at ")
+    del made[:]
+    assert run_cli(argv + ["--workers", "2"], capsys) == serial
+    assert len(forks) == 1
+
+
+def test_flag_lists_one_multiset_when_the_routes_agree(capsys, monkeypatch):
+    lam, w = Weight.parse("5,2,1"), Perm.parse("2 1 3")
+    row = cli._flag_row((lam, w, 2))
+    assert row["match"] and row["direct"] is row["extracted"]
+    # Doubling the quotient at height 2, below n = 3's full height, keeps
+    # extraction from raising: the routes differ, and each lists its own
+    # entries.
+    orig = filtration._table_quotient
+    monkeypatch.setattr(
+        filtration, "_table_quotient",
+        lambda *key: {k: 2 * c for k, c in orig(*key).items()},
+    )
+    code, out, err = run_cli(
+        ["flag", "--lambda", "5,2,1", "--w", "2 1 3", "--height", "2"], capsys
+    )
+    doc = json.loads(out)
+    (red,) = doc["rows"]
+    assert (code, err, doc["passed"], red["match"]) == (1, "", False, False)
+    assert red["direct"] == row["direct"]
+    assert red["extracted"] == [
+        {"weight": e["weight"], "mult": 2 * e["mult"]} for e in row["direct"]
+    ]
+
+
+def test_flag_guard_charges_a_row_its_entries(capsys):
+    # At height 0 a flag row builds one entry, so two weights over all w at
+    # n = 6 fit under the cap that the full-height sweep of one fills.
+    code, out, err = run_cli(
+        ["flag", "--n", "6", "--w", "all", "--height", "0", "--samples", "2"], capsys
+    )
+    assert (code, err) == (0, "")
+    assert len(json.loads(out)["rows"]) == 1_440
+
+
+def test_flag_guard_compares_rows_before_building_P(capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("P built or weights sampled for rows that cannot fit")
+
+    monkeypatch.setattr(cli, "_subset_sums_by_height", never)
+    monkeypatch.setattr(cli, "sample_weights", never)
+    code, out, err = run_cli(
+        ["flag", "--n", "6", "--w", "all", "--height", "0", "--samples", "1000"],
+        capsys,
+    )
+    assert (code, out) == (3, "")
+    least = 1 + cli._FLAG_ROW_COST
+    assert err == (
+        f"error: flag at n = 6 asks for 720,000 rows, more than the "
+        f"{cli._WORK_CAPS['flag']:,} flag entries it may build, at least {least} a row\n"
     )
 
 

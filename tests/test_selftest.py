@@ -2,6 +2,7 @@
 selftest command and run_all see the failure."""
 
 import collections
+import json
 
 import pytest
 
@@ -92,14 +93,14 @@ def _cpus(monkeypatch, count):
 def test_criterion_4_cycles_through_every_height(monkeypatch):
     # Each rank's cases cycle through the heights 0..H: 2 + 5 + 11 = 18
     # (rank, height) pairs up to n = 4, each rank's full height among them.
-    orig = selftest.verma_flag_extract
+    orig = filtration.verma_flag_extract
     seen = collections.Counter()
 
     def recording(char, trunc, super_blocks=False):
         seen[trunc.base.rank, trunc.bound] += 1
         return orig(char, trunc, super_blocks)
 
-    monkeypatch.setattr(selftest, "verma_flag_extract", recording)
+    monkeypatch.setattr(filtration, "verma_flag_extract", recording)
     res = selftest.check_flag_oracle()
     assert res.passed and res.cases == 96 == sum(seen.values())
     assert set(seen) == {
@@ -121,6 +122,55 @@ def test_wrong_quotient_below_full_height_turns_criterion_4_red(monkeypatch):
     red = selftest.check_flag_oracle(max_n=3)
     assert not red.passed and red.cases == 24
     assert red.detail.startswith("n=2 ") and " height=0: " in red.detail
+
+
+def _record_routes(monkeypatch):
+    """Log the start and the return of each flag route, in order."""
+    log = []
+    for name in ("verma_flag_extract", "restriction_flag"):
+        orig = getattr(filtration, name)
+
+        def recording(*args, orig=orig, name=name):
+            log.append(f"{name} starts")
+            got = orig(*args)
+            log.append(f"{name} returns")
+            return got
+
+        monkeypatch.setattr(filtration, name, recording)
+    return log
+
+
+_ROUTES_IN_ORDER = [
+    "verma_flag_extract starts", "verma_flag_extract returns",
+    "restriction_flag starts", "restriction_flag returns",
+]
+
+
+def test_the_division_returns_before_the_direct_flag_starts(monkeypatch, capsys):
+    log = _record_routes(monkeypatch)
+    assert main(["flag", "--lambda", "5,2,1", "--w", "2 1 3"]) == 0
+    capsys.readouterr()
+    assert log == _ROUTES_IN_ORDER
+    del log[:]
+    res = selftest.check_flag_oracle(max_n=2)
+    assert res.passed and res.cases == 6
+    assert log == 6 * _ROUTES_IN_ORDER
+
+
+def test_flag_and_criterion_4_share_one_routine(monkeypatch, capsys):
+    # Routes that disagree, patched once, turn both a flag row and a
+    # criterion 4 case red.
+    def disagreeing(lam, w, height):
+        return filtration.FlagMultiset({lam: 1}), filtration.FlagMultiset()
+
+    monkeypatch.setattr(filtration, "_flag_routes", disagreeing)
+    assert main(["flag", "--lambda", "3,1", "--w", "2 1"]) == 1
+    (row,) = json.loads(capsys.readouterr().out)["rows"]
+    assert row["match"] is False
+    assert (row["extracted"], row["direct"]) == ([{"weight": "3,1", "mult": 1}], [])
+    red = selftest.check_flag_oracle(max_n=2)
+    assert not red.passed and red.cases == 6
+    assert red.detail.startswith("n=2 ") and red.detail.endswith("FlagMultiset({})")
 
 
 # The gate at --max-n 5: (passed, cases, detail) for criteria 1 to 9.
