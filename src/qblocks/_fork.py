@@ -1,5 +1,5 @@
-"""fork_map, the one way the package splits independent work over processes:
-the acceptance gate's criteria and the sweeps' --workers both use it.
+"""fork_map, the one way the package splits independent work over processes,
+used by the sweeps' --workers alone; the acceptance gate runs in one process.
 Where os.fork is missing (Windows) everything runs in the calling process.
 """
 

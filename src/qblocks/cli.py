@@ -65,12 +65,18 @@ _MAX_FLAG_REGION = comb(40, 5)
 # Python 3.11.7, -O).
 _FLAG_ROW_COST = 5
 
+# Keying one weight's orbits for linkage, in linkage rows.  At n = 7 a cold
+# _orbit_keys took 36.9-43.6 ms per sampled weight and a warm linkage_check
+# row 0.26-0.38 ms, so K = 100-153, rounded up (5 alternating runs, 2 cores,
+# Python 3.11.7, -O).
+_LINKAGE_KEYING_COST = 154
+
 # Rows x per-row work per sweep, each the largest sweep the CLI promises: one
 # weight over all w at n = 6 for mult and flag (720 rows of |supp P(6)| =
 # 2,932 flag entries, plus _FLAG_ROW_COST for flag) and at n = 7 for linkage
-# (5,040 rows of 7! points).
+# (5,040 rows of 7! points, plus _LINKAGE_KEYING_COST rows to key the weight).
 _WORK_CAPS = {"mult": 720 * 2_932, "flag": 720 * (2_932 + _FLAG_ROW_COST),
-              "linkage": 5_040 * 5_040}
+              "linkage": 5_040 * (5_040 + _LINKAGE_KEYING_COST)}
 
 
 def _flag_height(n: int, height: Optional[int]) -> int:
@@ -91,29 +97,40 @@ def _flag_height(n: int, height: Optional[int]) -> int:
     return bound
 
 
-def _check_rows(command: str, n: int, rows: int, height: Optional[int] = None) -> None:
-    """Refuse rows whose work exceeds _WORK_CAPS[command] units: a linkage
-    row tests n! orbit points, a mult row builds |supp P(n)| flag entries, and
-    a flag row P's entries up to its height plus _FLAG_ROW_COST.  Rows are
-    compared at their least work first, so P(n) is built only when they
-    could fit."""
+def _check_rows(
+    command: str, n: int, lams: int, perms: int, height: Optional[int] = None
+) -> None:
+    """Refuse lams weights times perms rows each whose work exceeds
+    _WORK_CAPS[command] units: a linkage row tests n! orbit points and each
+    weight's keying costs _LINKAGE_KEYING_COST rows more, a mult row builds
+    |supp P(n)| flag entries, and a flag row P's entries up to its height
+    plus _FLAG_ROW_COST.  Rows are compared at their least work first, so
+    P(n) is built only when they could fit."""
     cap = _WORK_CAPS[command]
+    rows = lams * perms
     unit = "orbit points" if command == "linkage" else "flag entries"
     least = 1 + (_FLAG_ROW_COST if command == "flag" else 0)
     if rows * least > cap:
         raise GuardError(f"{command} at n = {n} asks for {rows:,} rows, more than "
                          f"the {cap:,} {unit} it may build, at least {least} a row")
+    keying = 0
     if command == "linkage":
         work = factorial(n)
+        keying = _LINKAGE_KEYING_COST * work
     elif command == "flag":
         entries = _subset_sums_by_height(n)
         work = bisect_right(entries, height, key=itemgetter(0)) + _FLAG_ROW_COST
     else:
         work = len(subset_sum_P(n))
-    if rows * work > cap:
+    if rows * work + lams * keying > cap:
+        keyed = f" and key {lams:,} weights at {keying:,} each" if keying else ""
+        fits = cap // work
+        if keying:
+            # Whole weights at the sweep's rows per weight, else one row each.
+            fits = cap // (perms * work + keying) * perms or cap // (work + keying)
         raise GuardError(f"{command} at n = {n} would build {rows:,} rows of "
-                         f"{work:,} {unit}, more than {cap:,}; use "
-                         f"{cap // work:,} rows or fewer")
+                         f"{work:,} {unit}{keyed}, more than {cap:,}; use "
+                         f"{fits:,} rows or fewer")
 
 
 def _resolve_sweep(args) -> tuple[int, dict, list[Weight], list[Perm]]:
@@ -150,8 +167,8 @@ def _resolve_sweep(args) -> tuple[int, dict, list[Weight], list[Perm]]:
     check_rank(n, CLI_DEFAULT_MAX_RANK)
     fixed = {"height": _flag_height(n, args.height)} if args.command == "flag" else {}
     samples = 1 if lam is not None else args.samples
-    rows = samples * (factorial(n) if w is None else 1)
-    _check_rows(args.command, n, rows, fixed.get("height"))
+    perms = factorial(n) if w is None else 1
+    _check_rows(args.command, n, samples, perms, fixed.get("height"))
     if lam is None:
         lams = sample_weights(n, args.samples, seed=args.seed, lo=lo, hi=hi)
     else:

@@ -5,16 +5,18 @@ an independent route to the restriction flag.
 
 The orbit-intersection check runs on one codec, _Packing's simple-root
 digits: every plain and dot orbit point x of a dominant lam lies below lam,
-so lam - x has a key, cached once per lam, and each digit gets one guard bit
-above it, which no key of P sets, so that the difference of two keys is a
-key of P only when it lies in the positive cone (see _orbit_hits).
+so lam - x has a key, cached once per lam in ascending order, and each digit
+gets one guard bit above it, which no key of P sets, so that the difference
+of two keys is a key of P only when it lies in the positive cone.  A case
+looks up only the keys in its height window (see _orbit_hits), and the
+gate's block multiplicities are sums over the same hits (_block_mults).
 
 restriction_flag cuts P, cached per rank in height order, by one bisect
 before it builds any weight of a flag cut to a truncation region."""
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from functools import lru_cache
 from operator import itemgetter
 from types import MappingProxyType
@@ -137,16 +139,18 @@ def _hit_support(n: int, width: int) -> tuple[_Packing, dict[int, int]]:
 
 
 @lru_cache(maxsize=16)
-def _orbit_keys(
-    lam: Weight,
-) -> tuple[dict[int, int], dict[Weight, int], dict[Weight, int]]:
-    """P's coefficients by key, and the key of lam - x for every point x of
-    the plain and of the dot orbit of a dominant lam.  Every such point lies
-    below lam, so each lam - x has a key."""
+def _orbit_keys(lam: Weight) -> tuple[_Packing, dict[int, int], tuple, tuple]:
+    """The packing and P's coefficients by key, then for the plain and for
+    the dot orbit of a dominant lam the keys of lam - x in ascending order,
+    with the points x in the same order.  Every such point lies below lam,
+    so each lam - x has a key, and distinct points have distinct keys, so
+    the sort never compares two weights."""
     pk, coeffs = _hit_support(lam.rank, _hit_width(lam))
-    plain = {u: pk.key_below(lam, u) for u in orbit(lam)}
-    dot = {v: pk.key_below(lam, v) for v in dot_orbit(lam)}
-    return coeffs, plain, dot
+
+    def keyed(points: Iterable[Weight]) -> tuple:
+        return tuple(zip(*sorted((pk.key_below(lam, x), x) for x in points)))
+
+    return pk, coeffs, keyed(orbit(lam)), keyed(dot_orbit(lam))
 
 
 def _orbit_hits(lam: Weight, w: Perm) -> tuple[dict[Weight, int], dict[Weight, int]]:
@@ -162,12 +166,23 @@ def _orbit_hits(lam: Weight, w: Perm) -> tuple[dict[Weight, int], dict[Weight, i
     the whole difference goes negative.  No key of P has a guard bit set or
     is negative, so one subtraction and one lookup in P's keys decide each
     point.
+
+    Only a height window is looked up.  The top digit of a key is its
+    height, so keys sorted as ints are sorted by height first, and no key of
+    P has a height outside 0..H = full_support_height(n).  So with a and b
+    the keys of lam - w.lam and lam - w(lam), a plain key hits only inside
+    [a - ((H+1) << hshift), a] and a dot key inside [b, b + ((H+1) << hshift)].
     """
-    coeffs, plain, dot = _orbit_keys(lam)
-    a = dot[w.dot(lam)]
-    b = plain[w.act(lam)]
-    plain_hits = {u: coeffs[d] for u, k in plain.items() if (d := a - k) in coeffs}
-    dot_hits = {v: coeffs[d] for v, k in dot.items() if (d := k - b) in coeffs}
+    pk, coeffs, (plain_keys, plain), (dot_keys, dot) = _orbit_keys(lam)
+    a = pk.key_below(lam, w.dot(lam))
+    b = pk.key_below(lam, w.act(lam))
+    span = (full_support_height(lam.rank) + 1) << pk.hshift
+    lo, hi = bisect_left(plain_keys, a - span), bisect_right(plain_keys, a)
+    plain_hits = {u: coeffs[d] for k, u in zip(plain_keys[lo:hi], plain[lo:hi])
+                  if (d := a - k) in coeffs}
+    lo, hi = bisect_left(dot_keys, b), bisect_right(dot_keys, b + span)
+    dot_hits = {v: coeffs[d] for k, v in zip(dot_keys[lo:hi], dot[lo:hi])
+                if (d := k - b) in coeffs}
     return plain_hits, dot_hits
 
 
@@ -259,6 +274,19 @@ def ind_block_mult(lam: Weight, w: Perm) -> int:
     before identifying the two halves of a parity-switched pair)."""
     flag = induction_flag(lam, w)
     return sum(flag.get(nu) for nu in orbit(lam))
+
+
+def _block_mults(lam: Weight, w: Perm) -> tuple[int, int]:
+    """res_block_mult and the raw ind_block_mult from the orbit hits, with
+    no flag built: the restriction flag's entry at a dot-orbit point v is
+    k_dim(n) P[w(lam) - v], and the induction flag's at a plain-orbit point
+    u is 2^(n-1)/k_dim(n) P[u - w.lam]."""
+    n = lam.rank
+    check_rank(n)
+    _require(lam, "_block_mults", strongly_typical=True)
+    plain, dot = _orbit_hits(lam, w)
+    k = k_dim(n)
+    return k * sum(dot.values()), 2 ** (n - 1) // k * sum(plain.values())
 
 
 def _parity_split(raw: int, n: int) -> int:

@@ -5,12 +5,10 @@ holds, else its failure text) over the rank range and case counts it is
 defined with.  The _criterion decorator runs it to the end, times it, counts
 the cases and returns a CriterionResult carrying the first problem; a mere
 verification failure never raises, so tests and the selftest command decide
-what to do with red results.
-The cases of a criterion are independent, so those whose split pays go
-through _split_cases, which hands the odd-indexed ones to one forked process
-by _fork.fork_map when a second CPU is usable.  Criteria 1, 2, 3, 5's shift
-identity and 9 split this way; criteria 4 and 7 run in one process, since a
-split would save them a few milliseconds at most.
+what to do with red results.  The whole gate runs in the calling process.
+Criteria 2 and 3 take both block multiplicities from the orbit hits that
+criterion 1 looks up (filtration._block_mults); the flag-summing
+res_block_mult and ind_block_mult are their oracle in the tests.
 The greedy peel _peel_extract, the oracle for filtration.verma_flag_extract,
 lives here because criterion 9 and the tests are its only callers.
 """
@@ -23,9 +21,8 @@ import random
 import time
 from fractions import Fraction
 from operator import itemgetter, le
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
-from qblocks._fork import fork_map
 from qblocks.charring import (
     FormalCharacter,
     Truncation,
@@ -45,9 +42,7 @@ from qblocks.filtration import (
     FlagExtractionError,
     FlagMultiset,
     _parity_split,
-    ind_block_mult,
     linkage_check,
-    res_block_mult,
     verma_flag_extract,
 )
 from qblocks.lattice import (
@@ -88,16 +83,6 @@ def _cap(full_scale: int, max_n: Optional[int]) -> int:
 
 _Problems = Iterator[Optional[str]]
 
-# Below this many cases a split costs about as much as it saves: one fork,
-# pipe and pickle round trip takes a few milliseconds.
-_MIN_SPLIT_CASES = 64
-
-
-def _split_cases(case: Callable, items: Sequence) -> list[Optional[str]]:
-    """case(item) for every item, in item order, split over this process and
-    one forked child when there are at least _MIN_SPLIT_CASES items."""
-    return fork_map(case, items, 2 if len(items) >= _MIN_SPLIT_CASES else 1)
-
 
 def _criterion(
     number: int, name: str, ok_detail: str, budget: Optional[float] = None
@@ -122,12 +107,9 @@ def _criterion(
     return decorate
 
 
-_SweepCase = tuple[int, Weight, Perm]
-
-
 def _sweep(
     top: int, max_n: Optional[int], samples: int, seed: int, stride: int
-) -> list[_SweepCase]:
+) -> list[tuple[int, Weight, Perm]]:
     """Every (n, lambda, w) for n = 2..top (capped by max_n), `samples`
     weights drawn with seed + stride * n, and all w in S_n."""
     return [
@@ -138,25 +120,15 @@ def _sweep(
     ]
 
 
-def _linkage_case(case: _SweepCase) -> Optional[str]:
-    n, lam, w = case
-    ok = linkage_check(lam, w).passed
-    return None if ok else f"first failure: n={n} lambda={lam} w={w}"
-
-
 @_criterion(1, "orbit linkage, exhaustive in w", "all singletons", budget=60)
 def check_linkage(
     seed: int = DEFAULT_SEED, samples: int = 10, max_n: Optional[int] = None
 ) -> _Problems:
     """Criterion 1: both orbit intersections are singletons and the
     connecting offset has subset-sum coefficient 1, exhaustively in w."""
-    yield from _split_cases(_linkage_case, _sweep(6, max_n, samples, seed, 1))
-
-
-def _restriction_case(case: _SweepCase) -> Optional[str]:
-    n, lam, w = case
-    got, want = res_block_mult(lam, w), k_dim(n)
-    return None if got == want else f"n={n} lambda={lam} w={w}: {got} != {want}"
+    for n, lam, w in _sweep(6, max_n, samples, seed, 1):
+        ok = linkage_check(lam, w).passed
+        yield None if ok else f"first failure: n={n} lambda={lam} w={w}"
 
 
 @_criterion(2, "restriction block multiplicity", "all equal k_dim(n)", budget=10)
@@ -165,19 +137,9 @@ def check_restriction_mult(
 ) -> _Problems:
     """Criterion 2: the block-projected restriction multiplicity equals
     2^floor((n-1)/2), computed rather than assumed."""
-    yield from _split_cases(_restriction_case, _sweep(5, max_n, samples, seed, 10))
-
-
-def _induction_case(case: _SweepCase) -> Optional[str]:
-    n, lam, w = case
-    raw_expected = 2 ** ((n - 1) - (n - 1) // 2)
-    split_expected = k_dim(n)
-    raw = ind_block_mult(lam, w)
-    split = _parity_split(raw, n)
-    return None if raw == raw_expected and split == split_expected else (
-        f"n={n} lambda={lam} w={w}: raw={raw} (want {raw_expected}) "
-        f"split={split} (want {split_expected})"
-    )
+    for n, lam, w in _sweep(5, max_n, samples, seed, 10):
+        got, want = filtration._block_mults(lam, w)[0], k_dim(n)
+        yield None if got == want else f"n={n} lambda={lam} w={w}: {got} != {want}"
 
 
 @_criterion(3, "induction block multiplicity, raw and split", "all equal", budget=10)
@@ -186,7 +148,14 @@ def check_induction_mult(
 ) -> _Problems:
     """Criterion 3: raw induced multiplicity 2^ceil((n-1)/2), halving to
     k_dim(n) after the even-rank parity split."""
-    yield from _split_cases(_induction_case, _sweep(5, max_n, samples, seed, 100))
+    for n, lam, w in _sweep(5, max_n, samples, seed, 100):
+        raw = filtration._block_mults(lam, w)[1]
+        raw_expected = 2 ** ((n - 1) - (n - 1) // 2)
+        split = _parity_split(raw, n)
+        yield None if raw == raw_expected and split == k_dim(n) else (
+            f"n={n} lambda={lam} w={w}: raw={raw} (want {raw_expected}) "
+            f"split={split} (want {k_dim(n)})"
+        )
 
 
 @_criterion(
@@ -209,20 +178,16 @@ def check_flag_oracle(
             )
 
 
-def _shift_identity_case(case: tuple[int, Perm]) -> Optional[str]:
-    n, w = case
-    r = rho(n)
-    lhs = FormalCharacter.delta(r) * subset_sum_Pw(w)
-    rhs = FormalCharacter.delta(w.act(r)) * subset_sum_P(n)
-    return None if lhs == rhs else f"shift identity fails at n={n} w={w}"
-
-
 @_criterion(5, "subset-sum shift identity and defect coefficient", "identity holds")
 def check_multiset_identity(max_n: Optional[int] = None) -> _Problems:
     """Criterion 5: e^rho * P_w = e^{w(rho)} * P for every w, and the
     rho-defect of w carries subset-sum coefficient exactly 1."""
-    shifts = [(n, w) for n in range(1, _cap(5, max_n) + 1) for w in all_perms(n)]
-    yield from _split_cases(_shift_identity_case, shifts)
+    for n in range(1, _cap(5, max_n) + 1):
+        r = rho(n)
+        for w in all_perms(n):
+            lhs = FormalCharacter.delta(r) * subset_sum_Pw(w)
+            rhs = FormalCharacter.delta(w.act(r)) * subset_sum_P(n)
+            yield None if lhs == rhs else f"shift identity fails at n={n} w={w}"
     for n in range(1, _cap(6, max_n) + 1):
         p = subset_sum_P(n)
         for w in all_perms(n):
@@ -443,22 +408,18 @@ def check_property_suite(
     seed: int = DEFAULT_SEED, cases_each: int = 1000
 ) -> _Problems:
     """Criterion 9: randomized order axioms, action laws, defect identity,
-    and extraction order-independence."""
-    families: list[tuple[str, Callable[[random.Random], Optional[str]]]] = [
+    and extraction order-independence, all drawn from one generator that
+    walks the families in order."""
+    rng = random.Random(seed)
+    for name, family in [
         ("leq order axioms", _property_leq),
         ("group action laws", _property_actions),
         ("rho defect identity", _property_defect),
         ("extraction order independence", _property_extraction),
-    ]
-
-    def case(i: int) -> Optional[str]:
-        # A generator of its own makes a case's draws independent of which
-        # side of the split runs it, and of the cases before it.
-        name, fn = families[i // cases_each]
-        problem = fn(random.Random(f"{seed}/{i}"))
-        return f"{name}: {problem}" if problem else None
-
-    yield from _split_cases(case, range(4 * cases_each))
+    ]:
+        for _ in range(cases_each):
+            problem = family(rng)
+            yield f"{name}: {problem}" if problem else None
 
 
 def run_all(

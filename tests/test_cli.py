@@ -569,12 +569,14 @@ def test_mult_work_guard_exits_three(capsys, monkeypatch, argv, fits):
 @pytest.mark.parametrize("argv, fits", [
     (["linkage", "--n", "7", "--w", "all", "--samples", "1000"], "5,040"),
     (["linkage", "--n", "7", "--w", "all", "--samples", "2"], "5,040"),
-    (["linkage", "--n", "6", "--w", "all", "--samples", "50"], "35,280"),
+    (["linkage", "--n", "6", "--w", "all", "--samples", "50"], "29,520"),
     (["flag", "--n", "6", "--w", "all", "--samples", "40"], "720"),
     # 13,675 of P(7)'s 36,961 entries lie at height 24 or below.
     (["flag", "--n", "7", "--lambda=13,9,6,4,2,-7,-11", "--w", "all",
       "--height", "24"], "154"),
     (["mult", "--n", "7", "--w", "all"], "57"),
+    # Each weight's keying counts: one w at n = 7 fits 33 weights, not 5,040.
+    (["linkage", "--n", "7", "--w", "1 2 3 4 5 6 7", "--samples", "5040"], "33"),
 ])
 def test_work_guard_exits_three(capsys, monkeypatch, argv, fits):
     _refused_at_once(capsys, monkeypatch, argv, fits)
@@ -583,31 +585,51 @@ def test_work_guard_exits_three(capsys, monkeypatch, argv, fits):
 def test_work_caps_are_the_contract_sweep_estimates():
     # Each cap is the largest one-weight --w all sweep the CLI promises:
     # n = 6 for mult and flag, n = 7 for linkage.  A flag row also costs
-    # _FLAG_ROW_COST beyond its entries.
+    # _FLAG_ROW_COST beyond its entries, and keying a linkage weight
+    # _LINKAGE_KEYING_COST rows.
     p6 = len(charring.subset_sum_P(6))
     assert cli._WORK_CAPS == {
         "mult": factorial(6) * p6,
         "flag": factorial(6) * (p6 + cli._FLAG_ROW_COST),
-        "linkage": factorial(7) * factorial(7),
+        "linkage": factorial(7) * (factorial(7) + cli._LINKAGE_KEYING_COST),
     }
 
 
 @pytest.mark.parametrize("argv", [
     ["linkage", "--n", "7", "--w", "all"],
-    ["linkage", "--n", "6", "--w", "all", "--samples", "49"],
+    ["linkage", "--n", "6", "--w", "all", "--samples", "41"],
     ["flag", "--n", "6", "--w", "all"],
 ])
 def test_contract_sweeps_resolve_at_their_caps(argv):
+    # One weight over all w runs exactly at its cap, and 41 weights over all
+    # w are the most linkage admits at n = 6; one weight more is refused.
     command = argv[0]
     n, fixed, lams, perms = cli._resolve_sweep(cli.build_parser().parse_args(argv))
     rows = len(lams) * len(perms)
     if command == "linkage":
-        work = factorial(n)
+        per_weight = (len(perms) + cli._LINKAGE_KEYING_COST) * factorial(n)
     else:
-        work = len(charring.subset_sum_P(n)) + cli._FLAG_ROW_COST
-    assert rows * work == cli._WORK_CAPS[command]
+        per_weight = len(perms) * (len(charring.subset_sum_P(n)) + cli._FLAG_ROW_COST)
+    cap = cli._WORK_CAPS[command]
+    assert len(lams) * per_weight <= cap < (len(lams) + 1) * per_weight
+    assert len(lams) > 1 or per_weight == cap
     with pytest.raises(GuardError, match=f"use {rows:,} rows or fewer"):
-        cli._check_rows(command, n, rows + 1, fixed.get("height"))
+        cli._check_rows(command, n, len(lams) + 1, len(perms), fixed.get("height"))
+
+
+def test_linkage_guard_charges_each_weights_keying():
+    # One w at n = 7: 33 weights fit the cap, and the refusal of 34 names
+    # their keying, _LINKAGE_KEYING_COST rows of 5,040 orbit points each.
+    cli._check_rows("linkage", 7, 33, 1)
+    keying = cli._LINKAGE_KEYING_COST * 5_040
+    with pytest.raises(
+        GuardError, match=f"and key 34 weights at {keying:,} each, .* use 33 rows"
+    ):
+        cli._check_rows("linkage", 7, 34, 1)
+    # Where one weight over all w is over the cap (n = 8, allowed only by
+    # QBLOCKS_MAX_RANK), the message names the one-w count that fits.
+    with pytest.raises(GuardError, match="use 4 rows or fewer"):
+        cli._check_rows("linkage", 8, 1, factorial(8))
 
 
 def test_mult_work_guard_admits_the_n6_table():
@@ -615,34 +637,41 @@ def test_mult_work_guard_admits_the_n6_table():
     n, _, lams, perms = cli._resolve_sweep(args)
     assert n == 6 and len(lams) * len(perms) * 2_932 == cli._WORK_CAPS["mult"]
     with pytest.raises(GuardError, match="use 720 rows or fewer"):
-        cli._check_rows("mult", 6, 721)
+        cli._check_rows("mult", 6, 721, 1)
 
 
 def test_mult_work_guard_boundary(capsys, monkeypatch):
     # At n = 3 a mult row does |supp P(3)| = 7 units of work, a full-height
-    # flag row those 7 plus _FLAG_ROW_COST, and a linkage row 3! = 6, so a
-    # cap of 6 rows' work fits the 6 rows of one weight over all w, and 6 is
-    # the largest row count named.
-    for command, work, unit in (
-        ("mult", 7, "flag entries"), ("flag", 7 + cli._FLAG_ROW_COST, "flag entries"),
-        ("linkage", 6, "orbit points"),
+    # flag row those 7 plus _FLAG_ROW_COST, and a linkage row 3! = 6, with
+    # _LINKAGE_KEYING_COST rows' work more per weight.  A cap that fits one
+    # weight over all w admits those 6 rows and names 6 as the largest row
+    # count over all w.  With one w, mult and flag fit 6 weights and linkage
+    # 1, since each weight's keying outweighs its row.
+    keying = cli._LINKAGE_KEYING_COST * 6
+    for command, work, per_weight, unit in (
+        ("mult", 7, 0, "flag entries"),
+        ("flag", 7 + cli._FLAG_ROW_COST, 0, "flag entries"),
+        ("linkage", 6, keying, "orbit points"),
     ):
-        monkeypatch.setitem(cli._WORK_CAPS, command, 6 * work)
+        cap = 6 * work + per_weight
+        one_w = cap // (work + per_weight)
+        assert one_w == (1 if command == "linkage" else 6)
+        monkeypatch.setitem(cli._WORK_CAPS, command, cap)
         code, out, err = run_cli([command, "--n", "3", "--w", "all"], capsys)
         assert (code, err) == (0, "")
         assert len(json.loads(out)["rows"]) == 6
         code, out, err = run_cli(
-            [command, "--n", "3", "--w", "2 1 3", "--samples", "6"], capsys
+            [command, "--n", "3", "--w", "2 1 3", "--samples", str(one_w)], capsys
         )
         assert (code, err) == (0, "")
         code, out, err = run_cli([command, "--n", "3", "--samples", "2"], capsys)
         assert (code, out) == (3, "")
         assert f"12 rows of {work} {unit}" in err and "use 6 rows or fewer" in err
         code, out, err = run_cli(
-            [command, "--n", "3", "--w", "2 1 3", "--samples", "7"], capsys
+            [command, "--n", "3", "--w", "2 1 3", "--samples", str(one_w + 1)], capsys
         )
         assert (code, out) == (3, "")
-        assert "use 6 rows or fewer" in err
+        assert f"use {one_w} rows or fewer" in err
 
 
 def test_mult_work_guard_compares_rows_before_building_P(capsys, monkeypatch):

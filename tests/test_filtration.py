@@ -21,6 +21,7 @@ from qblocks.charring import (
 )
 from qblocks.filtration import (
     FlagExtractionError,
+    _block_mults,
     _hit_support,
     _hit_width,
     _orbit_hits,
@@ -221,19 +222,68 @@ def test_linkage_refusal_names_what_is_missing(coords, missing):
     )
 
 
+@functools.lru_cache(maxsize=4)
+def _every_key(lam):
+    pk, coeffs = _hit_support(lam.rank, _hit_width(lam))
+    plain = {u: pk.key_below(lam, u) for u in orbit(lam)}
+    dot = {v: pk.key_below(lam, v) for v in dot_orbit(lam)}
+    return coeffs, plain, dot
+
+
+def _orbit_hits_by_full_scan(lam, w):
+    """_orbit_hits with no height window: every key of both orbits is looked up."""
+    coeffs, plain, dot = _every_key(lam)
+    a, b = dot[w.dot(lam)], plain[w.act(lam)]
+    plain_hits = {u: coeffs[d] for u, k in plain.items() if (d := a - k) in coeffs}
+    dot_hits = {v: coeffs[d] for v, k in dot.items() if (d := k - b) in coeffs}
+    return plain_hits, dot_hits
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_orbit_hit_window_matches_the_full_scan_for_every_w(n):
+    # Sampled weights, and n-1,...,1,0, the tightest integral regular
+    # dominant weight, whose orbit keys crowd into the fewest heights.
+    for lam in sample_weights(n, 2, seed=80 + n) + [Weight(range(n - 1, -1, -1))]:
+        for w in all_perms(n):
+            assert _orbit_hits(lam, w) == _orbit_hits_by_full_scan(lam, w), (lam, w)
+
+
+@pytest.mark.parametrize("coords", [
+    "13,9,6,2,-1,-10", "6,4,3,1,-2,-5", "13,9,6,4,2,-7,-11", "4,3,2,1,-1,-2,-3",
+])
+def test_orbit_hit_window_matches_the_full_scan_at_ranks_6_and_7(coords):
+    # The n = 7 contract weight, and a tight one whose window still holds
+    # most of the orbit.  The identity and the longest element are among the
+    # sampled w.
+    lam = wt(coords)
+    n = lam.rank
+    perms = list(all_perms(n))
+    for w in perms[:1] + perms[-1:] + random.Random(n).sample(perms, 10):
+        assert _orbit_hits(lam, w) == _orbit_hits_by_full_scan(lam, w), w
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_orbit_hit_coefficients_give_the_block_multiplicities(n):
     # res_block_mult sums k_dim(n) P[w(lam) - v] over the dot orbit, and
     # ind_block_mult sums 2^(n-1) / k_dim(n) P[u - w.lam] over the plain
-    # orbit: both are sums over _orbit_hits.  Every w up to n = 5, 12
-    # sampled at n = 6.
+    # orbit: _block_mults takes both from _orbit_hits.  Every w up to
+    # n = 5, 12 sampled at n = 6.
     (lam,) = sample_weights(n, 1, seed=70 + n)
-    factor = 2 ** (n - 1) // k_dim(n)
     perms = list(all_perms(n))
     for w in perms if n < 6 else random.Random(76).sample(perms, 12):
-        plain, dot = _orbit_hits(lam, w)
-        assert k_dim(n) * sum(dot.values()) == res_block_mult(lam, w)
-        assert factor * sum(plain.values()) == ind_block_mult(lam, w)
+        assert _block_mults(lam, w) == (res_block_mult(lam, w), ind_block_mult(lam, w))
+
+
+def test_block_mults_refuse_a_weight_that_is_not_strongly_typical():
+    # 3,-3 passes linkage_check's hypotheses but not strong typicality.
+    lam, w = wt("3,-3"), Perm.parse("2 1")
+    assert linkage_check(lam, w).passed
+    with pytest.raises(PreconditionError) as info:
+        _block_mults(lam, w)
+    assert str(info.value) == (
+        "_block_mults requires an integral dominant regular strongly typical "
+        "weight; 3,-3 is not strongly typical"
+    )
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

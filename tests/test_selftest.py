@@ -3,6 +3,7 @@ selftest command and run_all see the failure."""
 
 import collections
 import json
+import random
 
 import pytest
 
@@ -14,17 +15,18 @@ from qblocks.cli import main
 
 
 def _res_block_mult_wrong_on(monkeypatch, calls):
-    """Make res_block_mult off by one on the given 1-based calls and return
-    the list of arguments it is called with."""
-    orig = selftest.res_block_mult
+    """Make the restriction multiplicity of filtration._block_mults off by
+    one on the given 1-based calls and return the list of arguments it is
+    called with."""
+    orig = filtration._block_mults
     seen = []
 
     def patched(lam, w):
         seen.append((lam, w))
-        got = orig(lam, w)
-        return got + 1 if len(seen) in calls else got
+        res, raw = orig(lam, w)
+        return res + 1 if len(seen) in calls else res, raw
 
-    monkeypatch.setattr(selftest, "res_block_mult", patched)
+    monkeypatch.setattr(filtration, "_block_mults", patched)
     return seen
 
 
@@ -61,8 +63,13 @@ def test_run_all_looks_criteria_up_at_call_time(monkeypatch):
 def test_wrong_raw_induction_multiplicity_turns_criterion_3_red(monkeypatch):
     green = selftest.check_induction_mult(max_n=3)
     assert green.passed and green.cases == 24
-    orig = selftest.ind_block_mult
-    monkeypatch.setattr(selftest, "ind_block_mult", lambda lam, w: 2 * orig(lam, w))
+    orig = filtration._block_mults
+
+    def doubled_raw(lam, w):
+        res, raw = orig(lam, w)
+        return res, 2 * raw
+
+    monkeypatch.setattr(filtration, "_block_mults", doubled_raw)
     red = selftest.check_induction_mult(max_n=3)
     assert not red.passed and red.cases == green.cases
     # The first case is n = 2, where the raw count 2 doubles to 4 and the
@@ -81,7 +88,7 @@ def test_broken_parity_split_turns_criterion_3_red(monkeypatch):
 
 
 def test_odd_raw_multiplicity_at_even_rank_stops_criterion_3(monkeypatch):
-    monkeypatch.setattr(selftest, "ind_block_mult", lambda lam, w: 3)
+    monkeypatch.setattr(filtration, "_block_mults", lambda lam, w: (1, 3))
     with pytest.raises(ArithmeticError, match="odd raw multiplicity 3 cannot split"):
         selftest.check_induction_mult(max_n=2)
 
@@ -195,6 +202,29 @@ def test_gate_at_rank_5_on_one_and_two_cpus(monkeypatch):
             [(r.passed, r.cases, r.detail) for r in selftest.run_all(seed=0, max_n=5)]
         )
     assert results[0] == results[1] == GATE_AT_5
+
+
+def test_gate_makes_no_fork_on_two_cpus(monkeypatch, forks):
+    _cpus(monkeypatch, 2)
+    results = selftest.run_all(max_n=4)
+    assert [r.number for r in results if r.passed] == list(range(1, 10))
+    assert not forks
+
+
+def test_property_families_walk_one_generator_in_order(monkeypatch):
+    # Each family records its name and one draw; the suite must take them
+    # from one generator seeded once, family by family.
+    families = ["_property_leq", "_property_actions", "_property_defect",
+                "_property_extraction"]
+    drawn = []
+    for name in families:
+        monkeypatch.setattr(
+            selftest, name, lambda rng, name=name: drawn.append((name, rng.random()))
+        )
+    res = selftest.check_property_suite(seed=5, cases_each=3)
+    assert (res.passed, res.cases) == (True, 12)
+    rng = random.Random(5)
+    assert drawn == [(name, rng.random()) for name in families for _ in range(3)]
 
 
 def test_property_suite_passes_at_twenty_seeds():
