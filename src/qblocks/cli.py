@@ -66,10 +66,11 @@ _MAX_FLAG_REGION = comb(40, 5)
 _FLAG_ROW_COST = 5
 
 # Keying one weight's orbits for linkage, in linkage rows.  At n = 7 a cold
-# _orbit_keys took 36.9-43.6 ms per sampled weight and a warm linkage_check
-# row 0.26-0.38 ms, so K = 100-153, rounded up (5 alternating runs, 2 cores,
+# _orbit_keys, which keys 2 x 7! shuffles and builds no orbit Weight, took
+# 25.4-44.1 ms per sampled weight and a warm linkage_check row 0.30-0.52 ms,
+# so K = 72.6-111.5, rounded up (5 alternating runs, 2 cores,
 # Python 3.11.7, -O).
-_LINKAGE_KEYING_COST = 154
+_LINKAGE_KEYING_COST = 112
 
 # Rows x per-row work per sweep, each the largest sweep the CLI promises: one
 # weight over all w at n = 6 for mult and flag (720 rows of |supp P(6)| =
@@ -105,7 +106,8 @@ def _check_rows(
     weight's keying costs _LINKAGE_KEYING_COST rows more, a mult row builds
     |supp P(n)| flag entries, and a flag row P's entries up to its height
     plus _FLAG_ROW_COST.  Rows are compared at their least work first, so
-    P(n) is built only when they could fit."""
+    P(n) is built only when they could fit.  A refusal names the most rows
+    that fit in whole weights of perms rows, or at one row a weight."""
     cap = _WORK_CAPS[command]
     rows = lams * perms
     unit = "orbit points" if command == "linkage" else "flag entries"
@@ -124,10 +126,7 @@ def _check_rows(
         work = len(subset_sum_P(n))
     if rows * work + lams * keying > cap:
         keyed = f" and key {lams:,} weights at {keying:,} each" if keying else ""
-        fits = cap // work
-        if keying:
-            # Whole weights at the sweep's rows per weight, else one row each.
-            fits = cap // (perms * work + keying) * perms or cap // (work + keying)
+        fits = cap // (perms * work + keying) * perms or cap // (work + keying)
         raise GuardError(f"{command} at n = {n} would build {rows:,} rows of "
                          f"{work:,} {unit}{keyed}, more than {cap:,}; use "
                          f"{fits:,} rows or fewer")

@@ -5,11 +5,11 @@ an independent route to the restriction flag.
 
 The orbit-intersection check runs on one codec, _Packing's simple-root
 digits: every plain and dot orbit point x of a dominant lam lies below lam,
-so lam - x has a key, cached once per lam in ascending order, and each digit
-gets one guard bit above it, which no key of P sets, so that the difference
-of two keys is a key of P only when it lies in the positive cone.  A case
-looks up only the keys in its height window (see _orbit_hits), and the
-gate's block multiplicities are sums over the same hits (_block_mults).
+so lam - x has a key.  Only keys are cached, once per lam in ascending
+order, and each digit has a guard bit above it that no key of P sets, so the
+difference of two keys is a key of P only when it lies in the positive cone.
+A case looks up only the keys in its height window and decodes only its
+hits (see _orbit_hits); the gate's block multiplicities sum the same hits.
 
 restriction_flag cuts P, cached per rank in height order, by one bisect
 before it builds any weight of a flag cut to a truncation region."""
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
+from itertools import permutations
 from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Optional, Union
@@ -35,7 +36,7 @@ from qblocks.charring import (
 )
 from qblocks.kernels._pykernels import binomial_product, geometric_product
 from qblocks.lattice import Weight, classify, height as _height
-from qblocks.weyl import Perm, check_rank, dot_orbit, orbit
+from qblocks.weyl import Perm, _rho_shift, check_rank, dot_orbit, orbit
 
 
 class PreconditionError(ValueError):
@@ -139,18 +140,17 @@ def _hit_support(n: int, width: int) -> tuple[_Packing, dict[int, int]]:
 
 
 @lru_cache(maxsize=16)
-def _orbit_keys(lam: Weight) -> tuple[_Packing, dict[int, int], tuple, tuple]:
-    """The packing and P's coefficients by key, then for the plain and for
-    the dot orbit of a dominant lam the keys of lam - x in ascending order,
-    with the points x in the same order.  Every such point lies below lam,
-    so each lam - x has a key, and distinct points have distinct keys, so
-    the sort never compares two weights."""
+def _orbit_keys(lam: Weight) -> tuple[_Packing, dict[int, int], tuple[int, ...], tuple[int, ...]]:
+    """The packing, P's coefficients by key, and the ascending keys of
+    lam - x for x in the plain and the dot orbit of a dominant lam; no point
+    is kept, _orbit_hits decodes its hits.  A dot point is s(top) - rho' for
+    a shuffle s of top = lam + rho', so its key is that of top - s(top)."""
     pk, coeffs = _hit_support(lam.rank, _hit_width(lam))
 
-    def keyed(points: Iterable[Weight]) -> tuple:
-        return tuple(zip(*sorted((pk.key_below(lam, x), x) for x in points)))
+    def keyed(top: Weight) -> tuple[int, ...]:
+        return tuple(sorted(pk.key_below(top, Weight(p)) for p in permutations(top.coords)))
 
-    return pk, coeffs, keyed(orbit(lam)), keyed(dot_orbit(lam))
+    return pk, coeffs, keyed(lam), keyed(lam + Weight(_rho_shift(lam.rank)))
 
 
 def _orbit_hits(lam: Weight, w: Perm) -> tuple[dict[Weight, int], dict[Weight, int]]:
@@ -165,7 +165,7 @@ def _orbit_hits(lam: Weight, w: Perm) -> tuple[dict[Weight, int], dict[Weight, i
     borrows wraps to at least 2^(shift - 1), which sets its guard bit, or
     the whole difference goes negative.  No key of P has a guard bit set or
     is negative, so one subtraction and one lookup in P's keys decide each
-    point.
+    point, and only a hit is decoded back to its Weight.
 
     Only a height window is looked up.  The top digit of a key is its
     height, so keys sorted as ints are sorted by height first, and no key of
@@ -173,15 +173,15 @@ def _orbit_hits(lam: Weight, w: Perm) -> tuple[dict[Weight, int], dict[Weight, i
     the keys of lam - w.lam and lam - w(lam), a plain key hits only inside
     [a - ((H+1) << hshift), a] and a dot key inside [b, b + ((H+1) << hshift)].
     """
-    pk, coeffs, (plain_keys, plain), (dot_keys, dot) = _orbit_keys(lam)
+    pk, coeffs, plain_keys, dot_keys = _orbit_keys(lam)
     a = pk.key_below(lam, w.dot(lam))
     b = pk.key_below(lam, w.act(lam))
     span = (full_support_height(lam.rank) + 1) << pk.hshift
     lo, hi = bisect_left(plain_keys, a - span), bisect_right(plain_keys, a)
-    plain_hits = {u: coeffs[d] for k, u in zip(plain_keys[lo:hi], plain[lo:hi])
+    plain_hits = {pk.weight_below(lam, k): coeffs[d] for k in plain_keys[lo:hi]
                   if (d := a - k) in coeffs}
     lo, hi = bisect_left(dot_keys, b), bisect_right(dot_keys, b + span)
-    dot_hits = {v: coeffs[d] for k, v in zip(dot_keys[lo:hi], dot[lo:hi])
+    dot_hits = {pk.weight_below(lam, k): coeffs[d] for k in dot_keys[lo:hi]
                 if (d := k - b) in coeffs}
     return plain_hits, dot_hits
 

@@ -240,7 +240,7 @@ def _gelfand_tsetlin_weights(top):
     return counts
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(1, 8))
 def test_subset_sum_matches_kostka_numbers(n):
     # prod over alpha > 0 of (e^{alpha/2} + e^{-alpha/2}) is ch V(rho), so
     # P[nu] = K_{rho', rho' - nu} with rho' = (n-1, ..., 1, 0).

@@ -560,7 +560,8 @@ def _refused_at_once(capsys, monkeypatch, argv, fits):
 @pytest.mark.parametrize("argv, fits", [
     (["--n", "7", "--w", "all"], "57"),
     (["--n", "7", "--lambda=13,9,6,4,2,-7,-11", "--w", "all"], "57"),
-    (["--n", "5", "--samples", "61"], "7,254"),
+    # A --w all sweep runs in whole weights of 120 rows, so 60 fit: 7,200 rows.
+    (["--n", "5", "--samples", "61"], "7,200"),
 ])
 def test_mult_work_guard_exits_three(capsys, monkeypatch, argv, fits):
     _refused_at_once(capsys, monkeypatch, ["mult"] + argv, fits)
@@ -569,14 +570,16 @@ def test_mult_work_guard_exits_three(capsys, monkeypatch, argv, fits):
 @pytest.mark.parametrize("argv, fits", [
     (["linkage", "--n", "7", "--w", "all", "--samples", "1000"], "5,040"),
     (["linkage", "--n", "7", "--w", "all", "--samples", "2"], "5,040"),
-    (["linkage", "--n", "6", "--w", "all", "--samples", "50"], "29,520"),
+    (["linkage", "--n", "6", "--w", "all", "--samples", "50"], "30,960"),
     (["flag", "--n", "6", "--w", "all", "--samples", "40"], "720"),
     # 13,675 of P(7)'s 36,961 entries lie at height 24 or below.
     (["flag", "--n", "7", "--lambda=13,9,6,4,2,-7,-11", "--w", "all",
       "--height", "24"], "154"),
     (["mult", "--n", "7", "--w", "all"], "57"),
-    # Each weight's keying counts: one w at n = 7 fits 33 weights, not 5,040.
-    (["linkage", "--n", "7", "--w", "1 2 3 4 5 6 7", "--samples", "5040"], "33"),
+    # Each weight's keying counts: one w at n = 7 fits 45 weights, not 5,040.
+    (["linkage", "--n", "7", "--w", "1 2 3 4 5 6 7", "--samples", "5040"], "45"),
+    # Full-height flag rows at n = 5, in whole weights of 120 rows.
+    (["flag", "--n", "5", "--w", "all", "--samples", "61"], "7,080"),
 ])
 def test_work_guard_exits_three(capsys, monkeypatch, argv, fits):
     _refused_at_once(capsys, monkeypatch, argv, fits)
@@ -597,11 +600,11 @@ def test_work_caps_are_the_contract_sweep_estimates():
 
 @pytest.mark.parametrize("argv", [
     ["linkage", "--n", "7", "--w", "all"],
-    ["linkage", "--n", "6", "--w", "all", "--samples", "41"],
+    ["linkage", "--n", "6", "--w", "all", "--samples", "43"],
     ["flag", "--n", "6", "--w", "all"],
 ])
 def test_contract_sweeps_resolve_at_their_caps(argv):
-    # One weight over all w runs exactly at its cap, and 41 weights over all
+    # One weight over all w runs exactly at its cap, and 43 weights over all
     # w are the most linkage admits at n = 6; one weight more is refused.
     command = argv[0]
     n, fixed, lams, perms = cli._resolve_sweep(cli.build_parser().parse_args(argv))
@@ -618,17 +621,17 @@ def test_contract_sweeps_resolve_at_their_caps(argv):
 
 
 def test_linkage_guard_charges_each_weights_keying():
-    # One w at n = 7: 33 weights fit the cap, and the refusal of 34 names
+    # One w at n = 7: 45 weights fit the cap, and the refusal of 46 names
     # their keying, _LINKAGE_KEYING_COST rows of 5,040 orbit points each.
-    cli._check_rows("linkage", 7, 33, 1)
+    cli._check_rows("linkage", 7, 45, 1)
     keying = cli._LINKAGE_KEYING_COST * 5_040
     with pytest.raises(
-        GuardError, match=f"and key 34 weights at {keying:,} each, .* use 33 rows"
+        GuardError, match=f"and key 46 weights at {keying:,} each, .* use 45 rows"
     ):
-        cli._check_rows("linkage", 7, 34, 1)
+        cli._check_rows("linkage", 7, 46, 1)
     # Where one weight over all w is over the cap (n = 8, allowed only by
     # QBLOCKS_MAX_RANK), the message names the one-w count that fits.
-    with pytest.raises(GuardError, match="use 4 rows or fewer"):
+    with pytest.raises(GuardError, match="use 5 rows or fewer"):
         cli._check_rows("linkage", 8, 1, factorial(8))
 
 

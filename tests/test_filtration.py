@@ -25,6 +25,7 @@ from qblocks.filtration import (
     _hit_support,
     _hit_width,
     _orbit_hits,
+    _orbit_keys,
     _parity_split,
     _table_quotient,
     FlagMultiset,
@@ -237,6 +238,25 @@ def _orbit_hits_by_full_scan(lam, w):
     plain_hits = {u: coeffs[d] for u, k in plain.items() if (d := a - k) in coeffs}
     dot_hits = {v: coeffs[d] for v, k in dot.items() if (d := k - b) in coeffs}
     return plain_hits, dot_hits
+
+
+@pytest.mark.parametrize("lam", [
+    *(lam for n in range(2, 7) for lam in sample_weights(n, 1, seed=60 + n)),
+    *(Weight(range(n - 1, -1, -1)) for n in range(2, 7)),
+    wt("4,3,2,1,-1,-2,-3"),
+], ids=str)
+def test_orbit_keys_are_the_keys_of_weyls_orbits(lam):
+    # The cache holds the packing, P's coefficients and two sorted tuples of
+    # ints: the keys of lam - x over weyl's plain and dot orbits.  The dot
+    # keys are made below lam + rho', so this checks that identity too, and
+    # every key decodes back to its point.
+    pk, coeffs, *cached = _orbit_keys(lam)
+    assert (pk, coeffs) == _hit_support(lam.rank, _hit_width(lam))
+    assert len(cached) == 2
+    for keys, points in zip(cached, (orbit(lam), dot_orbit(lam))):
+        assert type(keys) is tuple and all(type(k) is int for k in keys)
+        assert list(keys) == sorted(pk.key_below(lam, x) for x in points)
+        assert {pk.weight_below(lam, k) for k in keys} == points
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

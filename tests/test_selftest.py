@@ -3,6 +3,7 @@ selftest command and run_all see the failure."""
 
 import collections
 import json
+import os
 import random
 
 import pytest
@@ -195,13 +196,16 @@ GATE_AT_5 = [
 
 
 def test_gate_at_rank_5_on_one_and_two_cpus(monkeypatch):
-    results = []
-    for count in (1, 2):
-        _cpus(monkeypatch, count)
-        results.append(
-            [(r.passed, r.cases, r.detail) for r in selftest.run_all(seed=0, max_n=5)]
-        )
-    assert results[0] == results[1] == GATE_AT_5
+    # Every way to ask for the CPU count raises, so a report that matches
+    # cannot depend on it: one run stands for one CPU and for two.
+    def no_count(*args):
+        raise AssertionError("the gate asked for the CPU count")
+
+    monkeypatch.setattr(_fork, "_usable_cpus", no_count)
+    monkeypatch.setattr(os, "sched_getaffinity", no_count, raising=False)
+    monkeypatch.setattr(os, "cpu_count", no_count)
+    results = selftest.run_all(seed=0, max_n=5)
+    assert [(r.passed, r.cases, r.detail) for r in results] == GATE_AT_5
 
 
 def test_gate_makes_no_fork_on_two_cpus(monkeypatch, forks):
